@@ -36,8 +36,8 @@ from .model import (ModelConfig, init_model, load_checkpoint, param_count,
                     predict, save_checkpoint)
 from .occlusion import KINDS, OcclusionSpec, RecoveryError
 from .trainer import (RECOVERY_STRATEGIES, TrainConfig, benchmark_inference,
-                      evaluate_mse_horizons, occlusion_eval, train_loop,
-                      write_eval_report, write_loss_curve)
+                      evaluate_mse_horizons, latency_json, occlusion_eval,
+                      train_loop, write_eval_report, write_loss_curve)
 
 __all__ = ["main", "resolve_config", "DEFAULTS"]
 
@@ -180,43 +180,18 @@ def _split_ints(value: str, key: str):
         raise UsageError(f"config key '{key}' expects comma-separated integers")
 
 
-def _model_config(config: dict) -> ModelConfig:
-    return ModelConfig(
-        n_params=config["model.n_params"],
-        n_prefix=config["model.n_prefix"],
-        horizon=config["model.horizon"],
-        embed_dim=config["model.embed_dim"],
-        n_heads=config["model.n_heads"],
-        n_layers=config["model.n_layers"],
-        ffn_mult=config["model.ffn_mult"],
-        dropout=config["model.dropout"],
-        per_head_scale=config["model.per_head_scale"])
+def _section(cls, config: dict, section: str, **given):
+    """Build a config dataclass from its ``<section>.<field>`` keys."""
+    kwargs = {f.name: config[f"{section}.{f.name}"]
+              for f in dataclasses.fields(cls) if f.name not in given}
+    return cls(**kwargs, **given)
 
 
 def _dataset_spec(config: dict) -> DatasetSpec:
-    subjects = _split_csv(config["dataset.subjects"]) or None
-    actions = _split_csv(config["dataset.actions"]) or None
-    return DatasetSpec(
-        root=config["dataset.root"], subjects=subjects, actions=actions,
-        n_prefix=config["model.n_prefix"], horizon=config["model.horizon"],
-        stride=config["dataset.stride"],
-        downsample_factor=config["dataset.downsample_factor"])
-
-
-def _train_config(config: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=config["train.epochs"], batch_size=config["train.batch_size"],
-        lr=config["train.lr"], beta1=config["train.beta1"],
-        beta2=config["train.beta2"], eps=config["train.eps"],
-        clip_norm=config["train.clip_norm"], seed=config["seed"],
-        horizon_weighting=config["train.horizon_weighting"])
-
-
-def _occlusion_spec(config: dict) -> OcclusionSpec:
-    return OcclusionSpec(
-        kind=config["occlusion.kind"], ratio=config["occlusion.ratio"],
-        mean_duration_frames=config["occlusion.mean_duration_frames"],
-        seed=config["seed"])
+    return _section(DatasetSpec, config, "dataset",
+                    subjects=_split_csv(config["dataset.subjects"]) or None,
+                    actions=_split_csv(config["dataset.actions"]) or None,
+                    n_prefix=config["model.n_prefix"], horizon=config["model.horizon"])
 
 
 def _load_windows(config: dict):
@@ -236,7 +211,7 @@ def _checkpoint_or_fresh(config: dict):
     path = config["paths.checkpoint"]
     if path:
         return load_checkpoint(path)
-    return init_model(_model_config(config), seed=config["seed"])
+    return init_model(_section(ModelConfig, config, "model"), seed=config["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +233,9 @@ def cmd_synth(config: dict, outdir: str) -> int:
 
 def cmd_train(config: dict, outdir: str) -> int:
     windows = _load_windows(config)
-    model = init_model(_model_config(config), seed=config["seed"])
-    result = train_loop(model, windows, _train_config(config),
+    model = init_model(_section(ModelConfig, config, "model"), seed=config["seed"])
+    train_config = _section(TrainConfig, config, "train", seed=config["seed"])
+    result = train_loop(model, windows, train_config,
                         checkpoint_dir=outdir)
     write_loss_curve(result.curve, os.path.join(outdir, "loss_curve.csv"))
     save_checkpoint(result.model, os.path.join(outdir, "model.npz"))
@@ -294,7 +270,8 @@ def cmd_eval(config: dict, outdir: str) -> int:
     exclude = _split_ints(config["eval.exclude"], "eval.exclude")
     translation = _split_ints(config["eval.translation"], "eval.translation")
     if config["occlusion.enabled"]:
-        report = occlusion_eval(model, windows, _occlusion_spec(config),
+        spec = _section(OcclusionSpec, config, "occlusion", seed=config["seed"])
+        report = occlusion_eval(model, windows, spec,
                                 strategy=config["occlusion.strategy"],
                                 exclude=exclude, translation=translation)
     else:
@@ -313,15 +290,9 @@ def cmd_bench(config: dict, outdir: str) -> int:
     stats = benchmark_inference(model, reps=config["bench.reps"],
                                 warmup=config["bench.warmup"],
                                 seed=config["seed"])
-    doc = {
-        "param_count": param_count(model),
-        "config": dataclasses.asdict(model.config),
-        "latency_ms_mean": stats.mean_ms,
-        "latency_ms_p50": stats.p50_ms,
-        "latency_ms_p95": stats.p95_ms,
-        "latency_reps": stats.reps,
-        "calls_per_prediction": stats.calls_per_prediction,
-    }
+    doc = {"param_count": param_count(model),
+           "config": dataclasses.asdict(model.config),
+           **latency_json(stats)}
     out_path = os.path.join(outdir, "bench_report.json")
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

@@ -149,9 +149,13 @@ class ChannelParams:
 
 @dataclass
 class TwoChannelTransformer:
+    """The two channels' weights. ``params`` holds the same tensors by
+    name, in ``_layout`` order."""
+
     config: ModelConfig
     temporal: ChannelParams
     spatial: ChannelParams
+    params: dict = field(compare=False, repr=False)
     forward_count: int = field(default=0, compare=False)
 
 
@@ -213,31 +217,25 @@ def _layout(config: ModelConfig):
 
 
 def _assemble(config: ModelConfig, tensors: dict) -> TwoChannelTransformer:
+    """Wire the named tensors (in ``_layout`` order) into the model."""
     def channel(name):
-        blocks = []
-        for i in range(config.n_layers):
-            b = f"{name}.block{i}"
-            blocks.append(BlockParams(
-                ln1_gain=tensors[f"{b}.ln1.gain"],
-                ln1_bias=tensors[f"{b}.ln1.bias"],
-                attn=AttentionWeights(
-                    wq=tensors[f"{b}.attn.wq"], wk=tensors[f"{b}.attn.wk"],
-                    wv=tensors[f"{b}.attn.wv"], wo=tensors[f"{b}.attn.wo"]),
-                ln2_gain=tensors[f"{b}.ln2.gain"],
-                ln2_bias=tensors[f"{b}.ln2.bias"],
-                ffn=FeedForwardWeights(
-                    w1=tensors[f"{b}.ffn.w1"], b1=tensors[f"{b}.ffn.b1"],
-                    w2=tensors[f"{b}.ffn.w2"], b2=tensors[f"{b}.ffn.b2"]),
-            ))
+        def block(b):
+            p = lambda key: tensors[f"{b}.{key}"]
+            return BlockParams(
+                p("ln1.gain"), p("ln1.bias"),
+                AttentionWeights(p("attn.wq"), p("attn.wk"), p("attn.wv"), p("attn.wo")),
+                p("ln2.gain"), p("ln2.bias"),
+                FeedForwardWeights(p("ffn.w1"), p("ffn.b1"), p("ffn.w2"), p("ffn.b2")))
+
         return ChannelParams(
             enc_w=tensors[f"{name}.encoder.weight"],
             enc_b=tensors[f"{name}.encoder.bias"],
-            blocks=blocks,
+            blocks=[block(f"{name}.block{i}") for i in range(config.n_layers)],
             dec_w=tensors[f"{name}.decoder.weight"],
             dec_b=tensors[f"{name}.decoder.bias"])
 
     return TwoChannelTransformer(config=config, temporal=channel("temporal"),
-                                 spatial=channel("spatial"))
+                                 spatial=channel("spatial"), params=tensors)
 
 
 def init_model(config: ModelConfig, seed: int = 0) -> TwoChannelTransformer:
@@ -256,27 +254,8 @@ def init_model(config: ModelConfig, seed: int = 0) -> TwoChannelTransformer:
 
 
 def named_params(model: TwoChannelTransformer) -> dict:
-    """Name -> Tensor in the fixed layout order."""
-    out = {}
-    chans = {"temporal": model.temporal, "spatial": model.spatial}
-    for name, _, _ in _layout(model.config):
-        ch = chans[name.split(".", 1)[0]]
-        part = name.split(".")
-        if part[1] == "encoder":
-            out[name] = ch.enc_w if part[2] == "weight" else ch.enc_b
-        elif part[1] == "decoder":
-            out[name] = ch.dec_w if part[2] == "weight" else ch.dec_b
-        else:
-            blk = ch.blocks[int(part[1][len("block"):])]
-            if part[2] == "ln1":
-                out[name] = blk.ln1_gain if part[3] == "gain" else blk.ln1_bias
-            elif part[2] == "ln2":
-                out[name] = blk.ln2_gain if part[3] == "gain" else blk.ln2_bias
-            elif part[2] == "attn":
-                out[name] = getattr(blk.attn, part[3])
-            else:
-                out[name] = getattr(blk.ffn, part[3])
-    return out
+    """Name -> Tensor in the fixed layout order (the model's own store)."""
+    return model.params
 
 
 def param_count(model: TwoChannelTransformer) -> int:
@@ -383,32 +362,30 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _channel_forward(tokens: Tensor, channel: ChannelParams, config: ModelConfig,
+                     mask, training: bool, rng) -> Tensor:
+    """Encode the token rows, add positions, run the blocks, decode."""
+    e = tz.add_bias(tz.matmul(tokens, channel.enc_w), channel.enc_b)
+    e = tz.add(e, Tensor(positional_encoding(tokens.shape[0], config.embed_dim)))
+    for block in channel.blocks:
+        e = _block_forward(e, block, config, mask, training, rng)
+    return tz.add_bias(tz.matmul(e, channel.dec_w), channel.dec_b)
+
+
 def temporal_channel_forward(x, channel: ChannelParams, config: ModelConfig,
                              training: bool = False, rng=None) -> Tensor:
     """Causally masked attention over time steps; output row t sees only
     input rows <= t."""
     x = _as_tensor(x)
-    t = x.shape[0]
-    e = tz.add_bias(tz.matmul(x, channel.enc_w), channel.enc_b)
-    e = tz.add(e, Tensor(positional_encoding(t, config.embed_dim)))
-    mask = causal_mask(t)
-    for block in channel.blocks:
-        e = _block_forward(e, block, config, mask, training, rng)
-    return tz.add_bias(tz.matmul(e, channel.dec_w), channel.dec_b)
+    return _channel_forward(x, channel, config, causal_mask(x.shape[0]), training, rng)
 
 
 def spatial_channel_forward(x, channel: ChannelParams, config: ModelConfig,
                             training: bool = False, rng=None) -> Tensor:
     """Unmasked attention over the P parameter tokens; per head the
     attention matrix is P x P."""
-    x = _as_tensor(x)
-    xt = tz.transpose(x)
-    e = tz.add_bias(tz.matmul(xt, channel.enc_w), channel.enc_b)
-    e = tz.add(e, Tensor(positional_encoding(xt.shape[0], config.embed_dim)))
-    for block in channel.blocks:
-        e = _block_forward(e, block, config, None, training, rng)
-    out = tz.add_bias(tz.matmul(e, channel.dec_w), channel.dec_b)
-    return tz.transpose(out)
+    xt = tz.transpose(_as_tensor(x))
+    return tz.transpose(_channel_forward(xt, channel, config, None, training, rng))
 
 
 def model_forward(x, model: TwoChannelTransformer, training: bool = False,
@@ -435,6 +412,8 @@ def predict(model: TwoChannelTransformer, prefix) -> np.ndarray:
     if prefix.ndim != 2 or prefix.shape[0] < n:
         raise ValueError(
             f"prediction needs at least N={n} observed frames, got {prefix.shape}")
+    if not np.isfinite(prefix).all():
+        raise ValueError("prediction prefix contains non-finite values")
     x = build_padded_input(prefix[-n:], model.config.horizon)
     with tz.no_tape():
         out = model_forward(x, model, training=False)
@@ -479,5 +458,7 @@ def load_checkpoint(path) -> TwoChannelTransformer:
             if arr.shape != shape:
                 raise ValueError(
                     f"{path}: weight '{name}' has shape {arr.shape}, expected {shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: weight '{name}' has non-finite values")
             tensors[name] = Tensor(arr, requires_grad=True)
     return _assemble(config, tensors)

@@ -9,9 +9,11 @@ Design notes:
 
 * Storage is a C-contiguous float64 numpy array, so ``data`` is the flat
   row-major buffer the shape indexes into.
-* Differentiation is define-by-run: every op executed while recording is
-  appended to a single module-level tape, and ``backward`` replays that
-  tape in strict reverse creation order, then clears it.
+* Differentiation is define-by-run: every op executed while recording
+  attaches a ``TapeNode`` to the tensor it produces. ``backward`` walks
+  the nodes reachable from the loss, replays them in strict reverse
+  creation order, then detaches them, so a graph lives exactly as long
+  as the tensors that own it.
 * There is no implicit broadcasting. Binary elementwise ops require equal
   shapes; the only sanctioned mixed-shape ops are the explicit per-row
   ones (``add_bias``, ``layer_norm`` gain/bias) and scalar ``scale``.
@@ -58,7 +60,6 @@ __all__ = [
     "GradCheckReport",
     "no_tape",
     "tape_size",
-    "is_recording",
 ]
 
 
@@ -76,9 +77,11 @@ class Tensor:
     ``requires_grad`` marks a leaf whose gradient should be accumulated by
     ``backward``. Tensors produced by ops inherit graph membership
     automatically; their gradients are transient and never stored.
+    ``node`` is the recorded op that produced the tensor, until
+    ``backward`` replays it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -87,6 +90,7 @@ class Tensor:
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
+        self.node: Optional[TapeNode] = None
 
     @property
     def shape(self) -> tuple:
@@ -103,56 +107,34 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    # Operator sugar used by the model code. All dispatch to the op
-    # functions below so everything lands on the tape.
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else scale_shift(self, 1.0, other)
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else scale_shift(self, 1.0, -other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else scale(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 @dataclass
 class TapeNode:
-    """One recorded op: kind tag, operand handles and the backward rule.
+    """One recorded op, owned by the tensor it produced.
 
-    ``bwd`` maps the upstream gradient of ``output`` to per-input
+    ``bwd`` maps the upstream gradient of that tensor to per-input
     gradients (None for inputs that need none). Saved forward values live
-    in the closure.
+    in the closure. ``seq`` is the op's creation index.
     """
 
     op: str
     inputs: tuple
-    output: Tensor
     bwd: Callable[[np.ndarray], tuple]
+    seq: int
 
 
-_TAPE: list[TapeNode] = []
 _RECORDING = True
+_SEQ = 0           # ops recorded so far
+_SEQ_CLEARED = 0   # _SEQ when the last backward finished
 
 
 def tape_size() -> int:
-    return len(_TAPE)
-
-
-def is_recording() -> bool:
-    return _RECORDING
+    """Ops recorded since the last ``backward``."""
+    return _SEQ - _SEQ_CLEARED
 
 
 @contextmanager
@@ -168,9 +150,11 @@ def no_tape():
 
 
 def _record(op: str, inputs: Sequence[Tensor], out: Tensor, bwd) -> Tensor:
+    global _SEQ
     if _RECORDING and any(t.requires_grad for t in inputs):
+        _SEQ += 1
         out.requires_grad = True
-        _TAPE.append(TapeNode(op, tuple(inputs), out, bwd))
+        out.node = TapeNode(op, tuple(inputs), bwd, _SEQ)
     return out
 
 
@@ -247,13 +231,6 @@ def elementwise(kind: str, a: Tensor, b=None) -> Tensor:
         out = Tensor(np.where(pos, a.data, 0.0))
         return _record("relu", (a,), out, lambda g: (g * pos,))
     raise ValueError(f"unknown elementwise kind '{kind}'")
-
-
-def scale_shift(a: Tensor, c: float, d: float) -> Tensor:
-    """c*a + d with scalar c, d (scalar broadcasting only)."""
-    c, d = float(c), float(d)
-    out = Tensor(a.data * c + d)
-    return _record("scale_shift", (a,), out, lambda g: (g * c,))
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -409,29 +386,47 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 # Reverse pass
 # ---------------------------------------------------------------------------
 
+def _graph(loss: Tensor) -> list:
+    """Every recorded tensor reachable from ``loss``, newest op first."""
+    seen = {id(loss)}
+    stack, found = [loss], []
+    while stack:
+        t = stack.pop()
+        found.append(t)
+        for inp in t.node.inputs:
+            if inp.node is not None and id(inp) not in seen:
+                seen.add(id(inp))
+                stack.append(inp)
+    found.sort(key=lambda t: t.node.seq, reverse=True)
+    return found
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf.
 
     The loss must be scalar and the output of a recorded op. Gradients add
     into existing ``.grad`` buffers, so fan-out and repeated backward
-    calls both accumulate. The tape is cleared before returning.
+    calls both accumulate. The replayed nodes are detached before
+    returning.
     """
+    global _SEQ_CLEARED
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    produced = {id(n.output) for n in _TAPE}
-    if id(loss) not in produced:
+    if loss.node is None:
         raise ValueError("loss is not on the tape")
 
+    graph = _graph(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     try:
-        for node in reversed(_TAPE):
-            g = grads.pop(id(node.output), None)
+        for out in graph:
+            g = grads.pop(id(out), None)
             if g is None:
                 continue
+            node = out.node
             for inp, gi in zip(node.inputs, node.bwd(g)):
                 if gi is None or not inp.requires_grad:
                     continue
-                if id(inp) in produced:
+                if inp.node is not None:
                     key = id(inp)
                     if key in grads:
                         grads[key] = grads[key] + gi
@@ -442,7 +437,9 @@ def backward(loss: Tensor) -> None:
                         inp.grad = np.zeros_like(inp.data)
                     inp.grad += gi.reshape(inp.shape)
     finally:
-        _TAPE.clear()
+        for out in graph:
+            out.node = None
+        _SEQ_CLEARED = _SEQ
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,13 @@ def benchmark_inference(model: TwoChannelTransformer, reps: int = 100,
 # Serialization
 # ---------------------------------------------------------------------------
 
+def latency_json(stats: LatencyStats) -> dict:
+    """The latency keys shared by the eval and bench JSON reports."""
+    return {"latency_ms_mean": stats.mean_ms, "latency_ms_p50": stats.p50_ms,
+            "latency_ms_p95": stats.p95_ms, "latency_reps": stats.reps,
+            "calls_per_prediction": stats.calls_per_prediction}
+
+
 def write_eval_report(report: EvalReport, path) -> None:
     """JSON document with stable key names."""
     doc = {
@@ -427,11 +434,7 @@ def write_eval_report(report: EvalReport, path) -> None:
     if report.prefix_recon_mse is not None:
         doc["prefix_reconstruction_mse"] = report.prefix_recon_mse
     if report.latency is not None:
-        doc["latency_ms_mean"] = report.latency.mean_ms
-        doc["latency_ms_p50"] = report.latency.p50_ms
-        doc["latency_ms_p95"] = report.latency.p95_ms
-        doc["latency_reps"] = report.latency.reps
-        doc["calls_per_prediction"] = report.latency.calls_per_prediction
+        doc.update(latency_json(report.latency))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

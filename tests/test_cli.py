@@ -215,6 +215,26 @@ def test_predict_input_too_short(tmp_path, capsys):
     assert "4" in capsys.readouterr().err
 
 
+def test_predict_non_finite_checkpoint_exits_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(synth_args(data, count=1, frames=12)) == 0
+    src = next((data / "synth").glob("*.csv"))
+    ckpt = tmp_path / "model.npz"
+    from motioncast.model import ModelConfig, init_model, save_checkpoint
+    save_checkpoint(init_model(ModelConfig(n_params=6, n_prefix=4, horizon=3,
+                                           embed_dim=8, n_heads=2, n_layers=1)),
+                    ckpt)
+    with np.load(ckpt) as z:
+        arrays = dict(z)
+    arrays["temporal.decoder.weight"][0, 0] = np.nan
+    np.savez(ckpt, **arrays)
+    rc = main(["predict", "--out", str(tmp_path / "p"),
+               "--set", f"paths.checkpoint={ckpt}",
+               "--set", f"paths.input={src}"])
+    assert rc == 2
+    assert "temporal.decoder.weight" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

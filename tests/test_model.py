@@ -446,3 +446,56 @@ def test_padded_input_feeds_model_exactly():
     prefix = np.random.default_rng(28).normal(size=(4, 6))
     out = model_forward(build_padded_input(prefix, 3), model)
     np.testing.assert_array_equal(out.data[4:], predict(model, prefix))
+
+
+def test_predict_rejects_non_finite_prefix():
+    model = init_model(TINY, seed=29)
+    prefix = np.zeros((4, 6))
+    for bad in (np.nan, np.inf):
+        prefix[2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            predict(model, prefix)
+    assert model.forward_count == 0
+
+
+def test_checkpoint_rejects_non_finite_weight(tmp_path):
+    model = init_model(TINY, seed=30)
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path)
+    with np.load(path) as z:
+        arrays = dict(z)
+    arrays["spatial.block0.ffn.b1"][1] = np.nan
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="spatial.block0.ffn.b1"):
+        load_checkpoint(path)
+
+
+def test_stray_forwards_leave_no_graph():
+    """Forwards outside no_tape with grad-requiring weights own their
+    graph, so dropping the output frees every node."""
+    import gc
+    model = init_model(TINY, seed=31)
+    assert all(p.requires_grad for p in named_params(model).values())
+    x = np.random.default_rng(31).normal(size=(7, 6))
+    for _ in range(3):
+        model_forward(x, model)
+    gc.collect()
+    assert not any(isinstance(o, tz.TapeNode) for o in gc.get_objects())
+
+
+def test_named_params_is_the_model_store():
+    from motioncast.model import _layout
+    model = init_model(ModelConfig(n_params=6, n_prefix=4, horizon=3, embed_dim=8,
+                                   n_heads=2, n_layers=2), seed=32)
+    reached = []
+    for ch in (model.temporal, model.spatial):
+        reached += [ch.enc_w, ch.enc_b]
+        for blk in ch.blocks:
+            reached += [blk.ln1_gain, blk.ln1_bias, blk.attn.wq, blk.attn.wk,
+                        blk.attn.wv, blk.attn.wo, blk.ln2_gain, blk.ln2_bias,
+                        blk.ffn.w1, blk.ffn.b1, blk.ffn.w2, blk.ffn.b2]
+        reached += [ch.dec_w, ch.dec_b]
+    params = named_params(model)
+    assert list(params) == [name for name, _, _ in _layout(model.config)]
+    assert len(reached) == len(params)
+    assert all(a is b for a, b in zip(params.values(), reached))
