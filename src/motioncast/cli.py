@@ -299,7 +299,8 @@ def cmd_bench(config: dict, outdir: str) -> int:
         fh.write("\n")
     print(f"mean {stats.mean_ms:.3f} ms | p50 {stats.p50_ms:.3f} ms | "
           f"p95 {stats.p95_ms:.3f} ms over {stats.reps} reps "
-          f"({stats.calls_per_prediction} forward pass per prediction)")
+          f"({stats.calls_per_prediction} forward pass per prediction, "
+          f"{stats.minor_faults_per_prediction:.0f} minor page faults per prediction)")
     return 0
 
 

@@ -20,6 +20,7 @@ Attention scaling divides scores by sqrt(D) by default; set
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -181,6 +182,20 @@ def causal_mask(n: int) -> np.ndarray:
     return m
 
 
+def _read_only(make):
+    """Cache ``make``'s arrays per argument tuple, frozen against writes."""
+    @functools.lru_cache(maxsize=16)
+    def cached(*args):
+        arr = make(*args)
+        arr.flags.writeable = False
+        return arr
+    return cached
+
+
+_positional_encoding = _read_only(positional_encoding)
+_causal_mask = _read_only(causal_mask)
+
+
 # ---------------------------------------------------------------------------
 # Parameter layout
 # ---------------------------------------------------------------------------
@@ -334,28 +349,33 @@ def mha_forward(e: Tensor, weights: AttentionWeights, n_heads: int,
     if denominator is None:
         denominator = math.sqrt(d)
 
-    q = tz.matmul(e, weights.wq)
-    k = tz.matmul(e, weights.wk)
-    v = tz.matmul(e, weights.wv)
-    qh = tz.transpose(tz.reshape(q, (tokens, n_heads, f)), (1, 0, 2))
-    kh = tz.transpose(tz.reshape(k, (tokens, n_heads, f)), (1, 0, 2))
-    vh = tz.transpose(tz.reshape(v, (tokens, n_heads, f)), (1, 0, 2))
-    scores = tz.scale(tz.matmul(qh, tz.transpose(kh, (0, 2, 1))), 1.0 / denominator)
-    attn = tz.softmax_masked(scores, mask)
-    ctx = tz.matmul(attn, vh)
+    def heads(w):  # [H x tokens x F]
+        return tz.transpose(tz.reshape(tz.matmul(e, w), (tokens, n_heads, f)), (1, 0, 2))
+
+    # scores is this function's own temporary: scale and softmax may
+    # overwrite it (they do only when not recording).
+    scores = tz.matmul(heads(weights.wq), tz.transpose(heads(weights.wk), (0, 2, 1)))
+    scores = tz.scale(scores, 1.0 / denominator, out=scores)
+    attn = tz.softmax_masked(scores, mask, out=scores)
+    ctx = tz.matmul(attn, heads(weights.wv))
     merged = tz.reshape(tz.transpose(ctx, (1, 0, 2)), (tokens, d))
     return tz.matmul(merged, weights.wo), attn
 
 
 def _block_forward(e: Tensor, block: BlockParams, config: ModelConfig,
                    mask, training: bool, rng) -> Tensor:
+    """One pre-norm block. ``e``, the residual stream, belongs to the
+    channel forward, so it and the matmul outputs are updated in place
+    when not recording; the attention map is dropped at once."""
     h = tz.layer_norm(e, block.ln1_gain, block.ln1_bias)
-    a, _ = mha_forward(h, block.attn, config.n_heads, mask, config.attn_denominator)
-    e = tz.add(e, _dropout(a, config.dropout, training, rng))
+    a = mha_forward(h, block.attn, config.n_heads, mask, config.attn_denominator)[0]
+    e = tz.add(e, _dropout(a, config.dropout, training, rng), out=e)
     h = tz.layer_norm(e, block.ln2_gain, block.ln2_bias)
-    f = tz.add_bias(tz.matmul(h, block.ffn.w1), block.ffn.b1)
-    f = tz.add_bias(tz.matmul(tz.relu(f), block.ffn.w2), block.ffn.b2)
-    return tz.add(e, _dropout(f, config.dropout, training, rng))
+    f = tz.matmul(h, block.ffn.w1)
+    f = tz.relu(tz.add_bias(f, block.ffn.b1, out=f), out=f)
+    f = tz.matmul(f, block.ffn.w2)
+    f = tz.add_bias(f, block.ffn.b2, out=f)
+    return tz.add(e, _dropout(f, config.dropout, training, rng), out=e)
 
 
 def _as_tensor(x) -> Tensor:
@@ -365,11 +385,13 @@ def _as_tensor(x) -> Tensor:
 def _channel_forward(tokens: Tensor, channel: ChannelParams, config: ModelConfig,
                      mask, training: bool, rng) -> Tensor:
     """Encode the token rows, add positions, run the blocks, decode."""
-    e = tz.add_bias(tz.matmul(tokens, channel.enc_w), channel.enc_b)
-    e = tz.add(e, Tensor(positional_encoding(tokens.shape[0], config.embed_dim)))
+    e = tz.matmul(tokens, channel.enc_w)
+    e = tz.add_bias(e, channel.enc_b, out=e)
+    e = tz.add(e, Tensor(_positional_encoding(tokens.shape[0], config.embed_dim)), out=e)
     for block in channel.blocks:
         e = _block_forward(e, block, config, mask, training, rng)
-    return tz.add_bias(tz.matmul(e, channel.dec_w), channel.dec_b)
+    out = tz.matmul(e, channel.dec_w)
+    return tz.add_bias(out, channel.dec_b, out=out)
 
 
 def temporal_channel_forward(x, channel: ChannelParams, config: ModelConfig,
@@ -377,7 +399,7 @@ def temporal_channel_forward(x, channel: ChannelParams, config: ModelConfig,
     """Causally masked attention over time steps; output row t sees only
     input rows <= t."""
     x = _as_tensor(x)
-    return _channel_forward(x, channel, config, causal_mask(x.shape[0]), training, rng)
+    return _channel_forward(x, channel, config, _causal_mask(x.shape[0]), training, rng)
 
 
 def spatial_channel_forward(x, channel: ChannelParams, config: ModelConfig,

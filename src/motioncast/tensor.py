@@ -7,13 +7,23 @@ reductions), each with a hand-written backward rule.
 
 Design notes:
 
-* Storage is a C-contiguous float64 numpy array, so ``data`` is the flat
-  row-major buffer the shape indexes into.
+* Storage is a float64 numpy array. While recording it is C-contiguous,
+  so ``data`` is the flat row-major buffer the shape indexes into. Under
+  ``no_tape`` a tensor keeps the array it was given: ``transpose``,
+  ``reshape`` and ``narrow`` outputs stay views of their input.
 * Differentiation is define-by-run: every op executed while recording
   attaches a ``TapeNode`` to the tensor it produces. ``backward`` walks
   the nodes reachable from the loss, replays them in strict reverse
   creation order, then detaches them, so a graph lives exactly as long
-  as the tensors that own it.
+  as the tensors that own it. Under ``no_tape`` no op builds a node, and
+  the ops of the model's forward pass skip building their backward
+  closures as well.
+* ``add``, ``scale``, ``relu``, ``add_bias`` and ``softmax_masked`` take
+  an ``out=`` tensor of the result's shape. Under ``no_tape`` the result
+  is written into its buffer (which may be an operand's); while
+  recording ``out`` is ignored and left unchanged, since the tape may
+  still need the values it holds. Pass only a temporary that nothing
+  else reads afterwards.
 * There is no implicit broadcasting. Binary elementwise ops require equal
   shapes; the only sanctioned mixed-shape ops are the explicit per-row
   ones (``add_bias``, ``layer_norm`` gain/bias) and scalar ``scale``.
@@ -85,7 +95,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim:  # ascontiguousarray would promote 0-d scalars to 1-d
+        # ascontiguousarray would promote 0-d scalars to 1-d
+        if _RECORDING and arr.ndim:
             arr = np.ascontiguousarray(arr)
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
@@ -162,6 +173,11 @@ def _as_array(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
+def _out_buffer(out: Optional[Tensor]) -> Optional[np.ndarray]:
+    """The array an op may overwrite: ``out``'s, unless recording."""
+    return None if _RECORDING or out is None else out.data
+
+
 # ---------------------------------------------------------------------------
 # Primitives
 # ---------------------------------------------------------------------------
@@ -174,6 +190,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.shape[-1] != bd.shape[-2] or ad.shape[:-2] != bd.shape[:-2]:
         raise ShapeError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
     out = Tensor(np.matmul(ad, bd))
+    if not _RECORDING:
+        return out
 
     def bwd(g):
         ga = np.matmul(g, bd.swapaxes(-1, -2)) if a.requires_grad else None
@@ -183,8 +201,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), out, bwd)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise("add", a, b)
+def add(a: Tensor, b: Tensor, out: Optional[Tensor] = None) -> Tensor:
+    return elementwise("add", a, b, out=out)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -195,58 +213,63 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return elementwise("mul", a, b)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    return elementwise("scale", a, c)
+def scale(a: Tensor, c: float, out: Optional[Tensor] = None) -> Tensor:
+    return elementwise("scale", a, c, out=out)
 
 
-def relu(a: Tensor) -> Tensor:
-    return elementwise("relu", a)
+def relu(a: Tensor, out: Optional[Tensor] = None) -> Tensor:
+    return elementwise("relu", a, out=out)
 
 
-def elementwise(kind: str, a: Tensor, b=None) -> Tensor:
+def elementwise(kind: str, a: Tensor, b=None, out: Optional[Tensor] = None) -> Tensor:
     """Pointwise op dispatcher. Binary kinds demand equal shapes."""
+    buf = _out_buffer(out)
     if kind in ("add", "sub", "mul"):
         if not isinstance(b, Tensor):
             raise TypeError(f"elementwise '{kind}' needs a Tensor second operand")
         if a.shape != b.shape:
             raise ShapeError(f"elementwise '{kind}' shape mismatch: {a.shape} vs {b.shape}")
+        ad, bd = a.data, b.data
         if kind == "add":
-            out = Tensor(a.data + b.data)
+            res = Tensor(np.add(ad, bd, out=buf))
             bwd = lambda g: (g, g)
         elif kind == "sub":
-            out = Tensor(a.data - b.data)
+            res = Tensor(np.subtract(ad, bd, out=buf))
             bwd = lambda g: (g, -g)
         else:
-            ad, bd = a.data, b.data
-            out = Tensor(ad * bd)
+            res = Tensor(np.multiply(ad, bd, out=buf))
             bwd = lambda g: (g * bd if a.requires_grad else None,
                              g * ad if b.requires_grad else None)
-        return _record(kind, (a, b), out, bwd)
+        return _record(kind, (a, b), res, bwd) if _RECORDING else res
     if kind == "scale":
         c = float(b)
-        out = Tensor(a.data * c)
-        return _record("scale", (a,), out, lambda g: (g * c,))
+        res = Tensor(np.multiply(a.data, c, out=buf))
+        return _record("scale", (a,), res, lambda g: (g * c,)) if _RECORDING else res
     if kind == "relu":
+        if not _RECORDING:
+            return Tensor(np.maximum(a.data, 0.0, out=buf))
         pos = a.data > 0
-        out = Tensor(np.where(pos, a.data, 0.0))
-        return _record("relu", (a,), out, lambda g: (g * pos,))
+        res = Tensor(np.where(pos, a.data, 0.0))
+        return _record("relu", (a,), res, lambda g: (g * pos,))
     raise ValueError(f"unknown elementwise kind '{kind}'")
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
+def add_bias(x: Tensor, b: Tensor, out: Optional[Tensor] = None) -> Tensor:
     """Add a length-d bias vector to every row of x[..., d]."""
     if b.ndim != 1 or x.shape[-1] != b.shape[0]:
         raise ShapeError(f"add_bias: bias {b.shape} does not fit rows of {x.shape}")
-    out = Tensor(x.data + b.data)
+    res = Tensor(np.add(x.data, b.data, out=_out_buffer(out)))
+    if not _RECORDING:
+        return res
 
     def bwd(g):
         gb = g.reshape(-1, b.shape[0]).sum(axis=0) if b.requires_grad else None
         return g, gb
 
-    return _record("add_bias", (x, b), out, bwd)
+    return _record("add_bias", (x, b), res, bwd)
 
 
-def softmax_masked(scores: Tensor, mask=None) -> Tensor:
+def softmax_masked(scores: Tensor, mask=None, out: Optional[Tensor] = None) -> Tensor:
     """Row-softmax over the last axis with an optional additive mask.
 
     Mask entries are 0 (open) or the MASK_SENTINEL (closed); the mask must
@@ -255,23 +278,33 @@ def softmax_masked(scores: Tensor, mask=None) -> Tensor:
     is an error, never a NaN.
     """
     s = scores.data
+    m = None
     if mask is not None:
         m = _as_array(mask)
         if m.shape != s.shape and m.shape != s.shape[-2:]:
             raise ShapeError(f"mask shape {m.shape} does not fit scores {s.shape}")
         if np.any(np.all(m <= MASK_SENTINEL / 2, axis=-1)):
             raise FullyMaskedRowError("softmax row with all columns masked")
+    if not _RECORDING:
+        # The same arithmetic as below, in one buffer: out's, else a new one.
+        y = _out_buffer(out)
+        y = np.positive(s, out=y) if m is None else np.add(s, m, out=y)
+        y -= y.max(axis=-1, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=-1, keepdims=True)
+        return Tensor(y)
+    if m is not None:
         s = s + m
     shifted = s - s.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
+    res = Tensor(y)
 
     def bwd(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
-    return _record("softmax_masked", (scores,), out, bwd)
+    return _record("softmax_masked", (scores,), res, bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -285,6 +318,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
+    if not _RECORDING:
+        # The same arithmetic as below, in xc's buffer.
+        xc *= inv
+        xc *= gain.data
+        xc += bias.data
+        return Tensor(xc)
     xhat = xc * inv
     out = Tensor(xhat * gain.data + bias.data)
 
@@ -306,6 +345,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def transpose(x: Tensor, axes: Optional[tuple] = None) -> Tensor:
     perm = tuple(axes) if axes is not None else tuple(reversed(range(x.ndim)))
     out = Tensor(np.transpose(x.data, perm))
+    if not _RECORDING:
+        return out
     inverse = tuple(np.argsort(perm))
     return _record("transpose", (x,), out, lambda g: (np.ascontiguousarray(np.transpose(g, inverse)),))
 
@@ -316,6 +357,8 @@ def reshape(x: Tensor, shape) -> Tensor:
         raise ShapeError(f"cannot reshape {x.shape} to {shp}")
     orig = x.shape
     out = Tensor(x.data.reshape(shp))
+    if not _RECORDING:
+        return out
     return _record("reshape", (x,), out, lambda g: (g.reshape(orig),))
 
 

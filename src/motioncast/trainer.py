@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import resource
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -78,14 +79,21 @@ class TrainConfig:
     horizon_weighting: bool = False
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("learning rate must be > 0")
+        # Written so that NaN fails every check: each comparison with NaN
+        # is false.
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be > 0")
+        if not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ValueError(f"clip_norm must be finite and > 0, got {self.clip_norm}")
+        for name in ("beta1", "beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
 
 @dataclass
@@ -95,6 +103,7 @@ class LatencyStats:
     p95_ms: float
     reps: int
     calls_per_prediction: int
+    minor_faults_per_prediction: Optional[float] = None
 
 
 @dataclass
@@ -382,7 +391,8 @@ def benchmark_inference(model: TwoChannelTransformer, reps: int = 100,
     """Wall-clock per single forecast (batch 1), warm-up excluded.
 
     Also verifies non-autoregressive operation: exactly one forward pass
-    per prediction, via the model's forward counter.
+    per prediction, via the model's forward counter, and counts the
+    process's minor page faults per prediction over the timed loop.
     """
     if reps < 100:
         raise ValueError("need at least 100 measured repetitions")
@@ -392,10 +402,12 @@ def benchmark_inference(model: TwoChannelTransformer, reps: int = 100,
         predict(model, prefix)
     before = model.forward_count
     times = np.empty(reps)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for i in range(reps):
         t0 = time.perf_counter()
         predict(model, prefix)
         times[i] = time.perf_counter() - t0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     calls = (model.forward_count - before) / reps
     if calls != 1:
         raise AssertionError(f"expected 1 forward pass per prediction, saw {calls}")
@@ -403,7 +415,8 @@ def benchmark_inference(model: TwoChannelTransformer, reps: int = 100,
     return LatencyStats(mean_ms=float(ms.mean()),
                         p50_ms=float(np.percentile(ms, 50)),
                         p95_ms=float(np.percentile(ms, 95)),
-                        reps=reps, calls_per_prediction=1)
+                        reps=reps, calls_per_prediction=1,
+                        minor_faults_per_prediction=faults / reps)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +427,8 @@ def latency_json(stats: LatencyStats) -> dict:
     """The latency keys shared by the eval and bench JSON reports."""
     return {"latency_ms_mean": stats.mean_ms, "latency_ms_p50": stats.p50_ms,
             "latency_ms_p95": stats.p95_ms, "latency_reps": stats.reps,
-            "calls_per_prediction": stats.calls_per_prediction}
+            "calls_per_prediction": stats.calls_per_prediction,
+            "minor_faults_per_prediction": stats.minor_faults_per_prediction}
 
 
 def write_eval_report(report: EvalReport, path) -> None:

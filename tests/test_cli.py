@@ -300,3 +300,23 @@ def test_bench_rejects_tiny_rep_count(tmp_path):
     rc = main(["bench", "--out", str(tmp_path), "--set", "bench.reps=5"]
               + TINY_MODEL)
     assert rc == 2
+
+
+def test_train_rejects_nan_learning_rate(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(synth_args(data, frames=20)) == 0
+    out = tmp_path / "run"
+    rc = main(train_args(data, out) + ["--set", "train.lr=nan"])
+    assert rc == 2
+    assert "learning rate" in capsys.readouterr().err
+    assert not (out / "model.npz").exists()
+
+
+def test_bench_report_counts_minor_faults(tmp_path):
+    out = tmp_path / "bench"
+    rc = main(["bench", "--out", str(out),
+               "--set", "bench.reps=100", "--set", "bench.warmup=2"]
+              + TINY_MODEL)
+    assert rc == 0
+    doc = json.loads((out / "bench_report.json").read_text())
+    assert doc["minor_faults_per_prediction"] >= 0.0

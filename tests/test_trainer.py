@@ -500,3 +500,25 @@ def test_write_loss_curve_exact(tmp_path):
     assert lines[0] == "step,loss"
     assert float(lines[1].split(",")[1]) == 0.5
     assert float(lines[2].split(",")[1]) == 1 / 3  # repr round-trips
+
+
+@pytest.mark.parametrize("field_, value", [
+    ("lr", float("nan")), ("lr", float("inf")),
+    ("clip_norm", float("nan")), ("clip_norm", float("inf")),
+    ("beta1", 1.0), ("beta1", float("nan")), ("beta2", -0.1), ("beta2", 1.0),
+    ("eps", -1.0), ("eps", 0.0), ("eps", float("nan")), ("eps", float("inf")),
+])
+def test_train_config_rejects_non_finite_and_out_of_range(field_, value):
+    with pytest.raises(ValueError, match=field_ if field_ != "lr" else "learning rate"):
+        TrainConfig(**{field_: value})
+
+
+def test_train_config_accepts_zero_betas():
+    cfg = TrainConfig(beta1=0.0, beta2=0.0)
+    assert cfg.beta1 == 0.0 and cfg.beta2 == 0.0
+
+
+def test_benchmark_counts_minor_faults():
+    stats = benchmark_inference(init_model(TINY, seed=33), reps=100, warmup=2)
+    assert stats.minor_faults_per_prediction is not None
+    assert stats.minor_faults_per_prediction >= 0.0
