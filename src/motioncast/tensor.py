@@ -230,17 +230,18 @@ def elementwise(kind: str, a: Tensor, b=None, out: Optional[Tensor] = None) -> T
         if a.shape != b.shape:
             raise ShapeError(f"elementwise '{kind}' shape mismatch: {a.shape} vs {b.shape}")
         ad, bd = a.data, b.data
+        ufunc = {"add": np.add, "sub": np.subtract, "mul": np.multiply}[kind]
+        res = Tensor(ufunc(ad, bd, out=buf))
+        if not _RECORDING:
+            return res
         if kind == "add":
-            res = Tensor(np.add(ad, bd, out=buf))
             bwd = lambda g: (g, g)
         elif kind == "sub":
-            res = Tensor(np.subtract(ad, bd, out=buf))
             bwd = lambda g: (g, -g)
         else:
-            res = Tensor(np.multiply(ad, bd, out=buf))
             bwd = lambda g: (g * bd if a.requires_grad else None,
                              g * ad if b.requires_grad else None)
-        return _record(kind, (a, b), res, bwd) if _RECORDING else res
+        return _record(kind, (a, b), res, bwd)
     if kind == "scale":
         c = float(b)
         res = Tensor(np.multiply(a.data, c, out=buf))
