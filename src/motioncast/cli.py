@@ -297,10 +297,12 @@ def cmd_bench(config: dict, outdir: str) -> int:
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+    faults = stats.minor_faults_per_prediction
+    faults = "n/a" if faults is None else f"{faults:.0f}"
     print(f"mean {stats.mean_ms:.3f} ms | p50 {stats.p50_ms:.3f} ms | "
           f"p95 {stats.p95_ms:.3f} ms over {stats.reps} reps "
           f"({stats.calls_per_prediction} forward pass per prediction, "
-          f"{stats.minor_faults_per_prediction:.0f} minor page faults per prediction)")
+          f"{faults} minor page faults per prediction)")
     return 0
 
 

@@ -247,8 +247,10 @@ def elementwise(kind: str, a: Tensor, b=None, out: Optional[Tensor] = None) -> T
         res = Tensor(np.multiply(a.data, c, out=buf))
         return _record("scale", (a,), res, lambda g: (g * c,)) if _RECORDING else res
     if kind == "relu":
+        # Both paths map every entry that is not > 0, NaN included, to +0.0;
+        # fmax, unlike maximum, drops a NaN operand.
         if not _RECORDING:
-            return Tensor(np.maximum(a.data, 0.0, out=buf))
+            return Tensor(np.fmax(a.data, 0.0, out=buf))
         pos = a.data > 0
         res = Tensor(np.where(pos, a.data, 0.0))
         return _record("relu", (a,), res, lambda g: (g * pos,))
@@ -286,20 +288,15 @@ def softmax_masked(scores: Tensor, mask=None, out: Optional[Tensor] = None) -> T
             raise ShapeError(f"mask shape {m.shape} does not fit scores {s.shape}")
         if np.any(np.all(m <= MASK_SENTINEL / 2, axis=-1)):
             raise FullyMaskedRowError("softmax row with all columns masked")
-    if not _RECORDING:
-        # The same arithmetic as below, in one buffer: out's, else a new one.
-        y = _out_buffer(out)
-        y = np.positive(s, out=y) if m is None else np.add(s, m, out=y)
-        y -= y.max(axis=-1, keepdims=True)
-        np.exp(y, out=y)
-        y /= y.sum(axis=-1, keepdims=True)
-        return Tensor(y)
-    if m is not None:
-        s = s + m
-    shifted = s - s.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    # One buffer, out's when not recording; bwd reads only y.
+    y = _out_buffer(out)
+    y = np.positive(s, out=y) if m is None else np.add(s, m, out=y)
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     res = Tensor(y)
+    if not _RECORDING:
+        return res
 
     def bwd(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -316,16 +313,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu  # centred here, scaled in place below
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
     if not _RECORDING:
-        # The same arithmetic as below, in xc's buffer.
-        xc *= inv
-        xc *= gain.data
-        xc += bias.data
-        return Tensor(xc)
-    xhat = xc * inv
+        # Nothing keeps xhat: the affine step may overwrite it.
+        xhat *= gain.data
+        xhat += bias.data
+        return Tensor(xhat)
     out = Tensor(xhat * gain.data + bias.data)
 
     def bwd(g):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import resource
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -386,13 +385,24 @@ def occlusion_eval(model: TwoChannelTransformer,
                       prefix_recon_mse=recon_sq / len(windows))
 
 
+def _minor_faults() -> Optional[int]:
+    """The process's minor page faults so far, or None on platforms
+    without the ``resource`` module (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def benchmark_inference(model: TwoChannelTransformer, reps: int = 100,
                         warmup: int = 10, seed: int = 0) -> LatencyStats:
     """Wall-clock per single forecast (batch 1), warm-up excluded.
 
     Also verifies non-autoregressive operation: exactly one forward pass
     per prediction, via the model's forward counter, and counts the
-    process's minor page faults per prediction over the timed loop.
+    process's minor page faults per prediction over the timed loop
+    (None where the platform cannot count them).
     """
     if reps < 100:
         raise ValueError("need at least 100 measured repetitions")
@@ -402,12 +412,13 @@ def benchmark_inference(model: TwoChannelTransformer, reps: int = 100,
         predict(model, prefix)
     before = model.forward_count
     times = np.empty(reps)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    faults = _minor_faults()
     for i in range(reps):
         t0 = time.perf_counter()
         predict(model, prefix)
         times[i] = time.perf_counter() - t0
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    if faults is not None:
+        faults = (_minor_faults() - faults) / reps
     calls = (model.forward_count - before) / reps
     if calls != 1:
         raise AssertionError(f"expected 1 forward pass per prediction, saw {calls}")
@@ -416,7 +427,7 @@ def benchmark_inference(model: TwoChannelTransformer, reps: int = 100,
                         p50_ms=float(np.percentile(ms, 50)),
                         p95_ms=float(np.percentile(ms, 95)),
                         reps=reps, calls_per_prediction=1,
-                        minor_faults_per_prediction=faults / reps)
+                        minor_faults_per_prediction=faults)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ artifact layout and exit codes."""
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -320,3 +321,15 @@ def test_bench_report_counts_minor_faults(tmp_path):
     assert rc == 0
     doc = json.loads((out / "bench_report.json").read_text())
     assert doc["minor_faults_per_prediction"] >= 0.0
+
+
+def test_bench_without_resource_module_reports_no_faults(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "resource", None)  # import now fails
+    out = tmp_path / "bench"
+    rc = main(["bench", "--out", str(out),
+               "--set", "bench.reps=100", "--set", "bench.warmup=2"]
+              + TINY_MODEL)
+    assert rc == 0
+    doc = json.loads((out / "bench_report.json").read_text())
+    assert doc["minor_faults_per_prediction"] is None
+    assert "n/a minor page faults" in capsys.readouterr().out

@@ -162,3 +162,42 @@ def test_repeated_predicts_are_bit_identical_and_independent():
     np.testing.assert_array_equal(first, kept)
     assert not np.shares_memory(first, second)
     assert tz.tape_size() == recorded
+
+
+def _both_paths(op, *arrays):
+    """op's output while recording and under no_tape, on fresh copies."""
+    recorded = op(*(Tensor(a.copy(), requires_grad=True) for a in arrays)).data
+    with no_tape():
+        fast = op(*(Tensor(a.copy()) for a in arrays)).data
+    return recorded, fast
+
+
+def _same_bits(a, b):
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_relu_maps_non_finite_entries_alike_on_both_paths():
+    x = np.array([[np.nan, -np.inf, np.inf, -0.0, 0.0, -1.0, 2.0]])
+    recorded, fast = _both_paths(lambda t: tz.relu(t), x)
+    _same_bits(recorded, fast)
+    np.testing.assert_array_equal(fast, [[0.0, 0.0, np.inf, 0.0, 0.0, 0.0, 2.0]])
+    with no_tape():
+        t = Tensor(x.copy())
+        _same_bits(tz.relu(t, out=t).data, recorded)
+
+
+def test_softmax_and_layer_norm_paths_are_bit_identical():
+    rng = np.random.default_rng(46)
+    s = rng.normal(size=(3, 5, 5))
+    s[0, 1, 2] = np.inf        # an overflowed score
+    s[1, 2, :] = 1e308         # a row whose shifted exps are exact
+    mask = causal_mask(5)
+    x = rng.normal(size=(4, 6)) * 10.0
+    x[2, 3] = np.inf            # inf - inf inside the centring gives NaN
+    gain, bias = rng.normal(size=6), rng.normal(size=6)
+    with np.errstate(invalid="ignore"):
+        for m in (None, mask):
+            _same_bits(*_both_paths(lambda t: tz.softmax_masked(t, m), s))
+        recorded, fast = _both_paths(tz.layer_norm, x, gain, bias)
+    np.testing.assert_array_equal(np.isnan(recorded), np.isnan(fast))
+    _same_bits(np.nan_to_num(recorded), np.nan_to_num(fast))

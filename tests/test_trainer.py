@@ -3,6 +3,9 @@ horizon scoring and report serialization."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from motioncast.trainer import (HORIZONS_MS, AdamState, LatencyStats,
                                 NonFiniteGradient, TrainConfig, adam_step,
                                 benchmark_inference, clip_gradients,
                                 evaluate_mse_horizons, horizon_frame,
-                                horizon_weights, init_adam, loss_fn,
+                                horizon_weights, init_adam, latency_json, loss_fn,
                                 occlusion_eval, train_loop, write_eval_report,
                                 write_loss_curve)
 
@@ -519,6 +522,24 @@ def test_train_config_accepts_zero_betas():
 
 
 def test_benchmark_counts_minor_faults():
+    pytest.importorskip("resource")
     stats = benchmark_inference(init_model(TINY, seed=33), reps=100, warmup=2)
     assert stats.minor_faults_per_prediction is not None
     assert stats.minor_faults_per_prediction >= 0.0
+
+
+def test_benchmark_without_resource_module_reports_no_faults(monkeypatch):
+    monkeypatch.setitem(sys.modules, "resource", None)  # import now fails
+    stats = benchmark_inference(init_model(TINY, seed=34), reps=100, warmup=2)
+    assert stats.minor_faults_per_prediction is None
+    assert latency_json(stats)["minor_faults_per_prediction"] is None
+
+
+def test_package_imports_without_resource_module():
+    code = ("import sys; sys.modules['resource'] = None; "
+            "import motioncast, motioncast.cli; print('ok')")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tz.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
