@@ -247,8 +247,9 @@ def elementwise(kind: str, a: Tensor, b=None, out: Optional[Tensor] = None) -> T
         res = Tensor(np.multiply(a.data, c, out=buf))
         return _record("scale", (a,), res, lambda g: (g * c,)) if _RECORDING else res
     if kind == "relu":
-        # Both paths map every entry that is not > 0, NaN included, to +0.0;
-        # fmax, unlike maximum, drops a NaN operand.
+        # Both paths map every entry that is not > 0, NaN included, to 0
+        # (fmax, unlike maximum, drops a NaN operand); in place, fmax may
+        # keep the sign of a -0.0.
         if not _RECORDING:
             return Tensor(np.fmax(a.data, 0.0, out=buf))
         pos = a.data > 0
