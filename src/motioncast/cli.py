@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from .dataset import (DatasetSpec, MotionSequence, ParseError,
+from .dataset import (DatasetSpec, MotionSequence, ParseError, atomic_open,
                       load_csv_sequence, load_dataset, save_csv_sequence,
                       synth_generate, window_split)
 from .model import (ModelConfig, init_model, load_checkpoint, param_count,
@@ -164,7 +164,8 @@ def resolve_config(config_path=None, sets=(), seed=None):
 
 
 def _write_run_config(config: dict, outdir: str) -> None:
-    with open(os.path.join(outdir, "run_config.txt"), "w", encoding="utf-8") as fh:
+    path = os.path.join(outdir, "run_config.txt")
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for key in sorted(config):
             fh.write(f"{key}={config[key]}\n")
 
@@ -294,7 +295,7 @@ def cmd_bench(config: dict, outdir: str) -> int:
            "config": dataclasses.asdict(model.config),
            **latency_json(stats)}
     out_path = os.path.join(outdir, "bench_report.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with atomic_open(out_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     faults = stats.minor_faults_per_prediction

@@ -12,8 +12,10 @@ future from the last observed pose), paired with the true future frames.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -159,11 +161,32 @@ def load_csv_sequence(path, fps: float = 25.0, meta: Optional[dict] = None) -> M
     return MotionSequence(np.vstack(rows), fps=fps, meta=meta)
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a new temporary file beside ``path`` for writing, and move it
+    onto ``path`` with ``os.replace`` once the block ends without error.
+
+    If the block raises, the temporary file is removed and whatever was
+    at ``path`` before is left as it was.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    try:
+        # "x" instead of "w": never write into a file that already exists.
+        with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_csv_sequence(seq: MotionSequence, path) -> None:
     """Write frames in the loadable CSV format, round-trip lossless."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in seq.frames:
             fh.write(",".join(repr(float(v)) for v in row))
             fh.write("\n")

@@ -14,7 +14,11 @@ Conventions, fixed so reported numbers are comparable across runs:
 
 The per-frame metric converts each 3-parameter skeleton group of both
 poses to Euler angles, wraps the differences into (-pi, pi], and sums the
-squared differences over groups.
+squared differences over groups. It converts every scored group of every
+frame in one batched pass through the helpers behind the single-rotation
+functions, so the small-angle and gimbal rules are the same everywhere.
+Frames are independent: scoring a subset of rows gives, bit for bit, the
+scores of those rows in the full set.
 """
 
 from __future__ import annotations
@@ -39,34 +43,54 @@ SMALL_ANGLE = 1e-8
 _GIMBAL_EDGE = 1.0 - 1e-10
 
 
+def _rodrigues(v: np.ndarray) -> np.ndarray:
+    """[..., 3] axis-angle -> [..., 3, 3]: R = I + a*K + b*(v v^T - t^2 I),
+    with K the cross-product matrix of v, a = sin(t)/t, b = (1-cos(t))/t^2."""
+    t2 = np.einsum("...i,...i->...", v, v)
+    t = np.sqrt(t2)
+    small = t < SMALL_ANGLE
+    ts, ts2 = np.where(small, 1.0, t), np.where(small, 1.0, t2)  # no 0/0
+    a = np.where(small, 1.0 - t2 / 6.0, np.sin(ts) / ts)[..., None, None]
+    b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(ts)) / ts2)[..., None, None]
+    x, y, z, o = v[..., 0], v[..., 1], v[..., 2], np.zeros(v.shape[:-1])
+    k = np.stack([o, -z, y, z, o, -x, -y, x, o], axis=-1).reshape(v.shape + (3,))
+    k2 = v[..., :, None] * v[..., None, :] - t2[..., None, None] * np.eye(3)
+    return np.eye(3) + a * k + b * k2
+
+
+def _check_rotations(r: np.ndarray, atol: float) -> None:
+    """Raise unless every [..., 3, 3] matrix passes |R^T R - I| and det
+    within ``atol``; NaN entries pass, as every comparison with NaN fails."""
+    err = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max(axis=(-2, -1))
+    det = np.linalg.det(r)
+    bad = np.flatnonzero((err > atol) | (np.abs(det - 1.0) > atol))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"matrix is not a rotation: |R^T R - I| = "
+                         f"{err.flat[i]:.2e}, det = {det.flat[i]:.6f}")
+
+
+def _zyx_euler(r: np.ndarray) -> np.ndarray:
+    """[..., 3, 3] -> [..., 3] (yaw, pitch, roll), intrinsic Z-Y-X."""
+    s = -r[..., 2, 0]
+    lock = np.abs(s) >= _GIMBAL_EDGE
+    # fmax/fmin clip NaN to 1, as the scalar max/min clip did.
+    pitch = np.where(lock, np.copysign(math.pi / 2.0, s),
+                     np.arcsin(np.fmax(-1.0, np.fmin(1.0, s))))
+    r02 = np.where(s > 0, r[..., 0, 2], -r[..., 0, 2])
+    yaw = np.where(lock, np.arctan2(-r[..., 0, 1], r02),
+                   np.arctan2(r[..., 1, 0], r[..., 0, 0]))
+    roll = np.where(lock, 0.0, np.arctan2(r[..., 2, 1], r[..., 2, 2]))
+    return np.stack([yaw, pitch, roll], axis=-1)
+
+
 def expmap_to_rotmat(v) -> np.ndarray:
     """Rodrigues map from an axis-angle 3-vector to a 3x3 rotation matrix.
 
-    Uses R = I + a*K + b*K^2 with K the (unnormalized) cross-product
-    matrix of v, a = sin(t)/t and b = (1-cos(t))/t^2 for t = |v|, which
-    needs no axis normalization and is exact at v = 0.
+    Needs no axis normalization and is exact at v = 0; below
+    ``SMALL_ANGLE`` the coefficients use their Taylor expansions.
     """
-    v = np.asarray(v, dtype=np.float64).reshape(3)
-    t2 = float(v @ v)
-    t = math.sqrt(t2)
-    if t < SMALL_ANGLE:
-        a = 1.0 - t2 / 6.0
-        b = 0.5 - t2 / 24.0
-    else:
-        a = math.sin(t) / t
-        b = (1.0 - math.cos(t)) / t2
-    k = np.array([[0.0, -v[2], v[1]],
-                  [v[2], 0.0, -v[0]],
-                  [-v[1], v[0], 0.0]])
-    return np.eye(3) + a * k + b * (k @ k)
-
-
-def _check_orthonormal(r: np.ndarray, atol: float) -> None:
-    err = np.abs(r.T @ r - np.eye(3)).max()
-    det = np.linalg.det(r)
-    if err > atol or abs(det - 1.0) > atol:
-        raise ValueError(
-            f"matrix is not a rotation: |R^T R - I| = {err:.2e}, det = {det:.6f}")
+    return _rodrigues(np.asarray(v, dtype=np.float64).reshape(1, 3))[0]
 
 
 def rotmat_to_euler(r, atol: float = 1e-6) -> np.ndarray:
@@ -75,21 +99,9 @@ def rotmat_to_euler(r, atol: float = 1e-6) -> np.ndarray:
     Raises ValueError if the input fails the orthonormality check at
     ``atol``. At gimbal lock (|pitch| = pi/2) roll is fixed to 0.
     """
-    r = np.asarray(r, dtype=np.float64).reshape(3, 3)
-    _check_orthonormal(r, atol)
-    s = -r[2, 0]
-    if abs(s) >= _GIMBAL_EDGE:
-        pitch = math.copysign(math.pi / 2.0, s)
-        roll = 0.0
-        if s > 0:
-            yaw = math.atan2(-r[0, 1], r[0, 2])
-        else:
-            yaw = math.atan2(-r[0, 1], -r[0, 2])
-    else:
-        pitch = math.asin(max(-1.0, min(1.0, s)))
-        yaw = math.atan2(r[1, 0], r[0, 0])
-        roll = math.atan2(r[2, 1], r[2, 2])
-    return np.array([yaw, pitch, roll])
+    r = np.asarray(r, dtype=np.float64).reshape(1, 3, 3)
+    _check_rotations(r, atol)
+    return _zyx_euler(r)[0]
 
 
 def euler_to_rotmat(e) -> np.ndarray:
@@ -130,32 +142,20 @@ def euler_mse(target, pred, exclude=(), translation=()) -> np.ndarray:
         raise ValueError(f"euler_mse shape mismatch: {t.shape} vs {p.shape}")
     if t.ndim != 2 or t.shape[1] % 3 != 0:
         raise ValueError(f"euler_mse needs F x P frames with P divisible by 3, got {t.shape}")
-    n_groups = t.shape[1] // 3
-    excl = set(int(i) for i in exclude)
-    if excl and (min(excl) < 0 or max(excl) >= t.shape[1]):
-        raise ValueError(f"exclude indices out of range for P={t.shape[1]}")
-    trans = set(int(i) for i in translation)
-    if trans and (min(trans) < 0 or max(trans) >= t.shape[1]):
-        raise ValueError(f"translation indices out of range for P={t.shape[1]}")
+    n_frames, n_groups = t.shape[0], t.shape[1] // 3
+    excl, trans = (np.array([int(i) for i in ix], dtype=np.int64)
+                   for ix in (exclude, translation))
+    for name, idx in (("exclude", excl), ("translation", trans)):
+        if idx.size and (idx.min() < 0 or idx.max() >= t.shape[1]):
+            raise ValueError(f"{name} indices out of range for P={t.shape[1]}")
+    kept = ~np.isin(np.arange(n_groups), excl // 3)
+    raw = kept & np.isin(np.arange(n_groups), trans // 3)
+    rot = kept & ~raw
 
-    scored = []
-    for g in range(n_groups):
-        cols = (3 * g, 3 * g + 1, 3 * g + 2)
-        if any(c in excl for c in cols):
-            continue
-        scored.append(g)
-
-    errors = np.zeros(t.shape[0])
-    for f in range(t.shape[0]):
-        acc = 0.0
-        for g in scored:
-            sl = slice(3 * g, 3 * g + 3)
-            if any(c in trans for c in (3 * g, 3 * g + 1, 3 * g + 2)):
-                d = t[f, sl] - p[f, sl]
-            else:
-                et = rotmat_to_euler(expmap_to_rotmat(t[f, sl]))
-                ep = rotmat_to_euler(expmap_to_rotmat(p[f, sl]))
-                d = wrap_angle(et - ep)
-            acc += float(d @ d)
-        errors[f] = acc
-    return errors
+    t3, p3 = t.reshape(n_frames, n_groups, 3), p.reshape(n_frames, n_groups, 3)
+    r = _rodrigues(np.stack([t3[:, rot], p3[:, rot]]))
+    _check_rotations(r, atol=1e-6)  # rotmat_to_euler's default
+    e = _zyx_euler(r)
+    d = wrap_angle(e[0] - e[1])
+    raw_d = t3[:, raw] - p3[:, raw]
+    return (d * d).sum(axis=(1, 2)) + (raw_d * raw_d).sum(axis=(1, 2))

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import tensor as tz
-from .dataset import build_padded_input
+from .dataset import atomic_open, build_padded_input
 from .tensor import MASK_SENTINEL, Tensor
 
 __all__ = [
@@ -458,7 +459,11 @@ def save_checkpoint(model: TwoChannelTransformer, path) -> None:
     arrays["config.per_head_scale"] = np.int64(cfg.per_head_scale)
     for name, t in named_params(model).items():
         arrays[name] = t.data.astype("<f8")
-    np.savez(path, **arrays)
+    path = os.fspath(path)
+    if not path.endswith(".npz"):  # np.savez's naming rule for a path
+        path += ".npz"
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path) -> TwoChannelTransformer:

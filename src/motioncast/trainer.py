@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import tensor as tz
-from .dataset import MotionWindow
+from .dataset import MotionWindow, atomic_open
 from .kinematics import euler_mse
 from .model import (ModelConfig, TwoChannelTransformer, model_forward,
                     named_params, param_count, predict, save_checkpoint)
@@ -287,22 +287,27 @@ def train_loop(model: TwoChannelTransformer, windows: Sequence[MotionWindow],
 def _score_windows(model, windows, horizons_ms, exclude, translation,
                    forecast_prefix=None):
     """Shared scoring core: forecast each window, Euler-score the horizon
-    frames, aggregate per action and overall."""
+    frames, aggregate per action and overall.
+
+    Every horizon is checked before the first forecast or recovery.
+    Only the horizon rows are scored: ``euler_mse`` scores each row on
+    its own."""
     frames = [horizon_frame(ms) for ms in horizons_ms]
+    rows = [f - 1 for f in frames]
+    for what, h in [("model", model.config.horizon)] + [("window", w.horizon) for w in windows]:
+        if h < max(frames):
+            raise ValueError(f"{what} horizon {h} shorter than {max(frames)} frames")
     sums = {ms: 0.0 for ms in horizons_ms}
     per_action: dict = {}
     for i, w in enumerate(windows):
         prefix = w.prefix if forecast_prefix is None else forecast_prefix(i, w)
         pred = predict(model, prefix)
-        if w.horizon < max(frames):
-            raise ValueError(
-                f"window horizon {w.horizon} shorter than {max(frames)} frames")
-        scores = euler_mse(w.target, pred[:w.horizon], exclude=exclude,
+        scores = euler_mse(w.target[rows], pred[rows], exclude=exclude,
                            translation=translation)
         act = per_action.setdefault(w.action or "all", {ms: 0.0 for ms in horizons_ms})
-        for ms, f in zip(horizons_ms, frames):
-            sums[ms] += float(scores[f - 1])
-            act[ms] += float(scores[f - 1])
+        for ms, score in zip(horizons_ms, scores):
+            sums[ms] += float(score)
+            act[ms] += float(score)
     counts = {}
     for w in windows:
         a = w.action or "all"
@@ -460,13 +465,13 @@ def write_eval_report(report: EvalReport, path) -> None:
         doc["prefix_reconstruction_mse"] = report.prefix_recon_mse
     if report.latency is not None:
         doc.update(latency_json(report.latency))
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
 def write_loss_curve(curve, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("step,loss\n")
         for step, value in curve:
             fh.write(f"{step},{value!r}\n")

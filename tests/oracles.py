@@ -142,18 +142,67 @@ def channel_weight_arrays(params):
     return out
 
 
-def scalar_rodrigues(v):
+def scalar_rodrigues(v, small_angle=0.0):
     """Term-by-term Rodrigues formula: R = I + a*K + b*K^2 with a, b
-    evaluated directly (no Taylor guard; callers avoid tiny angles)."""
+    evaluated directly, or from their Taylor expansions below
+    ``small_angle`` (default: no Taylor guard; callers avoid tiny
+    angles)."""
     vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
-    theta = math.sqrt(vx * vx + vy * vy + vz * vz)
+    theta2 = vx * vx + vy * vy + vz * vz
+    theta = math.sqrt(theta2)
     eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     if theta == 0.0:
         return np.array(eye)
     k = [[0.0, -vz, vy], [vz, 0.0, -vx], [-vy, vx, 0.0]]
-    a = math.sin(theta) / theta
-    b = (1.0 - math.cos(theta)) / (theta * theta)
+    if theta < small_angle:
+        a = 1.0 - theta2 / 6.0
+        b = 0.5 - theta2 / 24.0
+    else:
+        a = math.sin(theta) / theta
+        b = (1.0 - math.cos(theta)) / (theta * theta)
     k2 = [[sum(k[i][r] * k[r][j] for r in range(3)) for j in range(3)]
           for i in range(3)]
     return np.array([[eye[i][j] + a * k[i][j] + b * k2[i][j]
                       for j in range(3)] for i in range(3)])
+
+
+def scalar_zyx_euler(r):
+    """Intrinsic Z-Y-X (yaw, pitch, roll) read entry by entry from a 3x3
+    rotation; at |R[2][0]| >= 1 - 1e-10 roll is pinned to 0 and the free
+    angle goes to yaw."""
+    s = -r[2][0]
+    if abs(s) >= 1.0 - 1e-10:
+        pitch = math.copysign(math.pi / 2.0, s)
+        yaw = math.atan2(-r[0][1], r[0][2] if s > 0 else -r[0][2])
+        return yaw, pitch, 0.0
+    pitch = math.asin(max(-1.0, min(1.0, s)))
+    return math.atan2(r[1][0], r[0][0]), pitch, math.atan2(r[2][1], r[2][2])
+
+
+def scalar_wrap_angle(x):
+    return -(((-x + math.pi) % (2.0 * math.pi)) - math.pi)
+
+
+def scalar_euler_mse(target, pred, exclude=(), translation=()):
+    """The frame-by-frame, group-by-group Euler-MSE loop: each rotation
+    group goes through ``scalar_rodrigues`` (Taylor guard below 1e-8) and
+    ``scalar_zyx_euler``, differences are wrapped and squared; translation
+    groups are scored raw and excluded groups skipped."""
+    out = []
+    for t_row, p_row in zip(target, pred):
+        acc = 0.0
+        for g in range(len(t_row) // 3):
+            cols = (3 * g, 3 * g + 1, 3 * g + 2)
+            if any(c in exclude for c in cols):
+                continue
+            tv = [float(t_row[c]) for c in cols]
+            pv = [float(p_row[c]) for c in cols]
+            if any(c in translation for c in cols):
+                d = [a - b for a, b in zip(tv, pv)]
+            else:
+                et = scalar_zyx_euler(scalar_rodrigues(tv, small_angle=1e-8))
+                ep = scalar_zyx_euler(scalar_rodrigues(pv, small_angle=1e-8))
+                d = [scalar_wrap_angle(a - b) for a, b in zip(et, ep)]
+            acc += sum(x * x for x in d)
+        out.append(acc)
+    return np.array(out)

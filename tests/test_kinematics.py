@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from motioncast.kinematics import (euler_mse, euler_to_rotmat,
                                    expmap_to_rotmat, rotmat_to_euler,
                                    wrap_angle)
 
-from oracles import scalar_rodrigues
+from oracles import scalar_euler_mse, scalar_rodrigues
 
 
 def random_axis_angles(rng, n, max_angle=math.pi):
@@ -212,3 +215,92 @@ def test_euler_mse_shape_errors():
         euler_mse(np.zeros((2, 4)), np.zeros((2, 4)))  # P not divisible by 3
     with pytest.raises(ValueError):
         euler_mse(np.zeros((2, 6)), np.zeros((2, 6)), exclude=(9,))
+
+
+# ---------------------------------------------------------------------------
+# batched Euler-MSE against the scalar loop
+# ---------------------------------------------------------------------------
+
+def assert_matches_oracle(target, pred, **groups):
+    np.testing.assert_allclose(euler_mse(target, pred, **groups),
+                               scalar_euler_mse(target, pred, **groups),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_euler_mse_oracle_random_frames():
+    rng = np.random.default_rng(9)
+    target = rng.normal(scale=1.5, size=(25, 99))
+    pred = target + rng.normal(scale=0.5, size=(25, 99))
+    assert_matches_oracle(target, pred, exclude=(0,), translation=(3,))
+
+
+def test_euler_mse_oracle_small_angles():
+    """Exact-zero and 1e-9-scale groups take the Taylor branch; their
+    scores (about 1e-18) must agree to 1e-12 relative, not just absolute."""
+    rng = np.random.default_rng(10)
+    target = np.zeros((4, 12))
+    target[:, 3:] = rng.normal(scale=1e-9, size=(4, 9))
+    pred = np.zeros((4, 12))
+    pred[:, 6:] = rng.normal(scale=1e-9, size=(4, 6))
+    fast = euler_mse(target, pred)
+    assert np.all(fast > 0.0) and np.all(fast < 1e-16)
+    np.testing.assert_allclose(fast, scalar_euler_mse(target, pred),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_euler_mse_oracle_gimbal_pitch():
+    """Pure pitch turns (0, +-pi/2, 0) take the gimbal branch."""
+    up, down = [0.0, math.pi / 2, 0.0], [0.0, -math.pi / 2, 0.0]
+    assert rotmat_to_euler(expmap_to_rotmat(up))[2] == 0.0
+    target = np.array([up + down + up, down + [0.3, 0.1, -0.2] + up])
+    pred = np.array([[0.0] * 3 + up + down, up + down + [0.0, 1.0, 0.5]])
+    assert_matches_oracle(target, pred)
+    assert_matches_oracle(target, pred, translation=(4,))
+    np.testing.assert_allclose(euler_mse(target[:1, :3], np.zeros((1, 3))),
+                               [math.pi ** 2 / 4], rtol=1e-15)
+
+
+def test_euler_mse_all_groups_excluded_is_zero():
+    rng = np.random.default_rng(11)
+    a, b = rng.normal(size=(2, 5, 9))
+    np.testing.assert_array_equal(euler_mse(a, b, exclude=range(9)), np.zeros(5))
+    np.testing.assert_array_equal(scalar_euler_mse(a, b, exclude=range(9)),
+                                  np.zeros(5))
+
+
+def test_euler_mse_nan_stays_in_its_frame():
+    rng = np.random.default_rng(12)
+    a, b = rng.normal(size=(2, 6, 12))
+    a[2, 7] = np.nan
+    with np.errstate(invalid="ignore"):
+        fast = euler_mse(a, b, translation=(0,))
+    assert np.isnan(fast[2])
+    keep = [0, 1, 3, 4, 5]
+    np.testing.assert_allclose(fast[keep],
+                               scalar_euler_mse(a, b, translation=(0,))[keep],
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_euler_mse_rows_are_independent():
+    """Scoring only the horizon rows gives exactly the full scores at
+    those rows; the evaluation loop slices on this."""
+    rng = np.random.default_rng(13)
+    t = rng.normal(size=(25, 99))
+    p = t + rng.normal(scale=0.4, size=(25, 99))
+    idx = [1, 3, 7, 9, 13, 24]
+    for groups in ({}, {"exclude": (0,), "translation": (3,)}):
+        np.testing.assert_array_equal(euler_mse(t[idx], p[idx], **groups),
+                                      euler_mse(t, p, **groups)[idx])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_euler_mse_property_against_oracle(n_frames, n_groups, data):
+    # Components within 10/sqrt(3) keep every group's angle |v| <= 10.
+    frames = arrays(np.float64, (n_frames, 3 * n_groups),
+                    elements=st.floats(-5.77, 5.77, allow_nan=False))
+    a, b = data.draw(frames), data.draw(frames)
+    assert_matches_oracle(a, b)
+    ab = euler_mse(a, b)
+    np.testing.assert_allclose(ab, euler_mse(b, a), rtol=1e-12, atol=1e-12)
+    assert np.all(ab >= 0.0)

@@ -14,7 +14,7 @@ from motioncast import tensor as tz
 from motioncast.dataset import MotionWindow, build_padded_input
 from motioncast.kinematics import euler_mse
 from motioncast.model import (ModelConfig, init_model, load_checkpoint,
-                              model_forward, named_params)
+                              model_forward, named_params, save_checkpoint)
 from motioncast.occlusion import OcclusionSpec
 from motioncast.tensor import Tensor
 from motioncast.trainer import (HORIZONS_MS, AdamState, LatencyStats,
@@ -371,6 +371,22 @@ def test_eval_requires_windows_and_span():
     assert set(report.overall) == {80}
 
 
+def test_short_horizon_fails_before_any_forecast():
+    """The horizon check covers every window before the first forecast or
+    recovery, so a short window at the end costs no forward pass."""
+    model = init_model(TINY, seed=0)
+    windows = tiny_windows(19, count=2)
+    windows[1] = make_window(windows[0].input[:5], n=4, h=1)
+    spec = OcclusionSpec(kind="time_consistent", ratio=0.4, seed=3)
+    with pytest.raises(ValueError, match="window horizon 1 shorter than 2"):
+        evaluate_mse_horizons(model, windows, horizons_ms=(80,))
+    with pytest.raises(ValueError, match="window horizon 1 shorter than 2"):
+        occlusion_eval(model, windows, spec, "autoregressive", horizons_ms=(80,))
+    with pytest.raises(ValueError, match="model horizon 3 shorter than 25"):
+        evaluate_mse_horizons(model, long_windows(19, count=1))
+    assert model.forward_count == 0
+
+
 def test_eval_report_fields():
     windows = long_windows(20, count=2)
     model = init_model(ModelConfig(n_params=6), seed=0)
@@ -503,6 +519,54 @@ def test_write_loss_curve_exact(tmp_path):
     assert lines[0] == "step,loss"
     assert float(lines[1].split(",")[1]) == 0.5
     assert float(lines[2].split(",")[1]) == 1 / 3  # repr round-trips
+
+
+class _Unserializable:
+    def __repr__(self):
+        raise RuntimeError("fails midway")
+
+
+def _failing_savez(fh, **arrays):
+    fh.write(b"PK partial")
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("writer", ["eval_report", "loss_curve", "checkpoint"])
+def test_failed_write_keeps_previous_artifact(tmp_path, monkeypatch, writer):
+    """Each writer fills a temporary file beside the target and renames it
+    into place, so a write that fails midway leaves the previous file
+    byte-identical and no temporary file behind."""
+    model = init_model(TINY, seed=0)
+    if writer == "eval_report":
+        path = tmp_path / "report.json"
+        report = evaluate_mse_horizons(model, tiny_windows(30, count=1),
+                                       horizons_ms=(80,))
+        write_eval_report(report, path)
+        report.config_echo = {"bad": _Unserializable()}
+        fail = lambda: write_eval_report(report, path)
+    elif writer == "loss_curve":
+        path = tmp_path / "curve.csv"
+        write_loss_curve([(1, 0.5)], path)
+        fail = lambda: write_loss_curve([(1, 0.25), (2, _Unserializable())], path)
+    else:
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        monkeypatch.setattr(np, "savez", _failing_savez)
+        fail = lambda: save_checkpoint(model, path)
+    before = path.read_bytes()
+    with pytest.raises((RuntimeError, TypeError, OSError)):
+        fail()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == [path.name]
+
+
+def test_save_checkpoint_appends_npz_suffix(tmp_path):
+    model = init_model(TINY, seed=0)
+    save_checkpoint(model, tmp_path / "ckpt")
+    assert os.listdir(tmp_path) == ["ckpt.npz"]
+    loaded = load_checkpoint(tmp_path / "ckpt.npz")
+    for name, p in named_params(loaded).items():
+        np.testing.assert_array_equal(p.data, named_params(model)[name].data)
 
 
 @pytest.mark.parametrize("field_, value", [
