@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -170,7 +169,7 @@ def atomic_open(path, mode: str = "w", **kwargs):
     at ``path`` before is left as it was.
     """
     path = os.fspath(path)
-    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     try:
         # "x" instead of "w": never write into a file that already exists.
         with open(tmp, mode.replace("w", "x"), **kwargs) as fh:

@@ -74,7 +74,7 @@ def _zyx_euler(r: np.ndarray) -> np.ndarray:
     """[..., 3, 3] -> [..., 3] (yaw, pitch, roll), intrinsic Z-Y-X."""
     s = -r[..., 2, 0]
     lock = np.abs(s) >= _GIMBAL_EDGE
-    # fmax/fmin clip NaN to 1, as the scalar max/min clip did.
+    # fmin/fmax, unlike clip, map a NaN s to 1, as Python's min/max do.
     pitch = np.where(lock, np.copysign(math.pi / 2.0, s),
                      np.arcsin(np.fmax(-1.0, np.fmin(1.0, s))))
     r02 = np.where(s > 0, r[..., 0, 2], -r[..., 0, 2])

@@ -249,11 +249,14 @@ def test_euler_mse_oracle_small_angles():
 
 
 def test_euler_mse_oracle_gimbal_pitch():
-    """Pure pitch turns (0, +-pi/2, 0) take the gimbal branch."""
+    """Pure pitch turns (0, +-pi/2, 0) take the gimbal branch, and so does
+    one 1e-6 short of it, inside the 1 - 1e-10 edge."""
     up, down = [0.0, math.pi / 2, 0.0], [0.0, -math.pi / 2, 0.0]
+    near = [0.0, math.pi / 2 - 1e-6, 0.0]
     assert rotmat_to_euler(expmap_to_rotmat(up))[2] == 0.0
-    target = np.array([up + down + up, down + [0.3, 0.1, -0.2] + up])
-    pred = np.array([[0.0] * 3 + up + down, up + down + [0.0, 1.0, 0.5]])
+    assert rotmat_to_euler(expmap_to_rotmat(near))[1] == math.pi / 2
+    target = np.array([up + down + near, down + [0.3, 0.1, -0.2] + up])
+    pred = np.array([[0.0] * 3 + up + down, near + down + [0.0, 1.0, 0.5]])
     assert_matches_oracle(target, pred)
     assert_matches_oracle(target, pred, translation=(4,))
     np.testing.assert_allclose(euler_mse(target[:1, :3], np.zeros((1, 3))),
