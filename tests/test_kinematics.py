@@ -296,7 +296,7 @@ def test_euler_mse_rows_are_independent():
                                       euler_mse(t, p, **groups)[idx])
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(derandomize=True, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 4), st.data())
 def test_euler_mse_property_against_oracle(n_frames, n_groups, data):
     # Components within 10/sqrt(3) keep every group's angle |v| <= 10.
