@@ -41,40 +41,37 @@ from .trainer import (RECOVERY_STRATEGIES, TrainConfig, benchmark_inference,
 
 __all__ = ["main", "resolve_config", "DEFAULTS"]
 
+# The fields each section's dataclass takes from other keys, not from a
+# ``<section>.<field>`` key of its own.
+_FROM_OTHER_KEYS = {
+    "dataset": ("subjects", "actions", "n_prefix", "horizon"),
+    "train": ("seed",),
+    "occlusion": ("seed",),
+}
+
+
+def _keyed_fields(cls, section: str):
+    return [f for f in dataclasses.fields(cls)
+            if f.name not in _FROM_OTHER_KEYS.get(section, ())]
+
+
 # Every known key with its default; the default's type fixes the parse.
+# The dataclass-backed keys take their defaults from the dataclasses; the
+# rest exist only on the command line. n_prefix/horizon live under model
+# and dataset windowing reads them.
 DEFAULTS = {
     "seed": 0,
     "fps": 25.0,
-    # dataset
-    "dataset.root": "data",
+    **{f"{section}.{f.name}": f.default
+       for section, cls in (("dataset", DatasetSpec), ("model", ModelConfig),
+                            ("train", TrainConfig), ("occlusion", OcclusionSpec))
+       for f in _keyed_fields(cls, section) if f.default is not dataclasses.MISSING},
     "dataset.subjects": "",          # comma list; empty = all
     "dataset.actions": "",           # comma list; empty = all
-    "dataset.stride": 5,
-    "dataset.downsample_factor": 1,
-    # model (n_prefix/horizon live here; dataset windowing reads them)
-    "model.n_params": 99,
-    "model.n_prefix": 10,
-    "model.horizon": 25,
-    "model.embed_dim": 160,
-    "model.n_heads": 8,
-    "model.n_layers": 4,
-    "model.ffn_mult": 4,
-    "model.dropout": 0.1,
-    "model.per_head_scale": False,
-    # training
-    "train.epochs": 10,
-    "train.batch_size": 4,
-    "train.lr": 1e-3,
-    "train.beta1": 0.9,
-    "train.beta2": 0.999,
-    "train.eps": 1e-8,
-    "train.clip_norm": 1.0,
-    "train.horizon_weighting": False,
-    # occlusion benchmark (eval only)
+    # occlusion benchmark (eval only); OcclusionSpec has no kind/ratio default
     "occlusion.enabled": False,
     "occlusion.kind": "time_consistent",
     "occlusion.ratio": 0.4,
-    "occlusion.mean_duration_frames": 3.0,
     "occlusion.strategy": "interp",
     # evaluation
     "eval.exclude": "",              # comma list of parameter indices
@@ -182,9 +179,9 @@ def _split_ints(value: str, key: str):
 
 
 def _section(cls, config: dict, section: str, **given):
-    """Build a config dataclass from its ``<section>.<field>`` keys."""
-    kwargs = {f.name: config[f"{section}.{f.name}"]
-              for f in dataclasses.fields(cls) if f.name not in given}
+    """Build a config dataclass from its ``<section>.<field>`` keys plus
+    ``given``, the fields it takes from other keys."""
+    kwargs = {f.name: config[f"{section}.{f.name}"] for f in _keyed_fields(cls, section)}
     return cls(**kwargs, **given)
 
 
@@ -308,11 +305,11 @@ def cmd_bench(config: dict, outdir: str) -> int:
 
 
 _COMMANDS = {
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "predict": cmd_predict,
-    "eval": cmd_eval,
-    "bench": cmd_bench,
+    "synth": (cmd_synth, "generate seeded synthetic motion CSVs"),
+    "train": (cmd_train, "train a model on a CSV dataset"),
+    "predict": (cmd_predict, "forecast future frames from a motion CSV"),
+    "eval": (cmd_eval, "horizon-wise Euler-MSE report, optionally under occlusion"),
+    "bench": (cmd_bench, "single-forecast latency statistics"),
 }
 
 
@@ -320,12 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="motioncast",
                      description="Two-channel transformer motion forecasting")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, help_text in [
-            ("synth", "generate seeded synthetic motion CSVs"),
-            ("train", "train a model on a CSV dataset"),
-            ("predict", "forecast future frames from a motion CSV"),
-            ("eval", "horizon-wise Euler-MSE report, optionally under occlusion"),
-            ("bench", "single-forecast latency statistics")]:
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH",
                        help="flat key=value config file")
@@ -358,7 +350,7 @@ def main(argv=None) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         _write_run_config(config, args.out)
-        return _COMMANDS[args.command](config, args.out)
+        return _COMMANDS[args.command][0](config, args.out)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

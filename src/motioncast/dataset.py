@@ -133,6 +133,7 @@ def load_csv_sequence(path, fps: float = 25.0, meta: Optional[dict] = None) -> M
     """Parse one motion CSV. Every line must carry the same field count."""
     path = Path(path)
     rows = []
+    linenos = []
     width = None
     with open(path, "r", encoding="utf-8", newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -153,11 +154,18 @@ def load_csv_sequence(path, fps: float = 25.0, meta: Optional[dict] = None) -> M
                     raise ParseError(
                         f"{path}: line {lineno}, column {col}: not a number: {tok!r}") from None
             rows.append(row)
+            linenos.append(lineno)
     if not rows:
         raise ParseError(f"{path}: no frames")
+    frames = np.vstack(rows)
+    bad = ~np.isfinite(frames)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise ParseError(f"{path}: line {linenos[r]}, column {c + 1}: "
+                         f"not a finite number: {float(frames[r, c])}")
     if meta is None:
         meta = {"subject": path.parent.name, "action": path.stem}
-    return MotionSequence(np.vstack(rows), fps=fps, meta=meta)
+    return MotionSequence(frames, fps=fps, meta=meta)
 
 
 @contextlib.contextmanager

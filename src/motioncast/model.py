@@ -20,6 +20,7 @@ Attention scaling divides scores by sqrt(D) by default; set
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import os
@@ -57,9 +58,6 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
-
-_CONFIG_FIELDS = ("n_params", "n_prefix", "horizon", "embed_dim", "n_heads",
-                  "n_layers", "ffn_mult")
 
 
 @dataclass
@@ -448,15 +446,13 @@ def predict(model: TwoChannelTransformer, prefix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: TwoChannelTransformer, path) -> None:
-    """Self-describing container: config integers, flags and every named
-    weight as little-endian float64 with explicit shapes, plus a version
-    tag."""
+    """Self-describing container: every config field (floats as float64,
+    integers and flags as int64) and every named weight as little-endian
+    float64 with explicit shapes, plus a version tag."""
     arrays = {"format_version": np.int64(CHECKPOINT_VERSION)}
-    cfg = model.config
-    for name in _CONFIG_FIELDS:
-        arrays[f"config.{name}"] = np.int64(getattr(cfg, name))
-    arrays["config.dropout"] = np.float64(cfg.dropout)
-    arrays["config.per_head_scale"] = np.int64(cfg.per_head_scale)
+    for f in dataclasses.fields(ModelConfig):
+        dtype = np.float64 if isinstance(f.default, float) else np.int64
+        arrays[f"config.{f.name}"] = dtype(getattr(model.config, f.name))
     for name, t in named_params(model).items():
         arrays[name] = t.data.astype("<f8")
     path = os.fspath(path)
@@ -467,15 +463,21 @@ def save_checkpoint(model: TwoChannelTransformer, path) -> None:
 
 
 def load_checkpoint(path) -> TwoChannelTransformer:
-    with np.load(path) as z:
+    z = np.load(path)
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not a model checkpoint")
+    with z:
         if "format_version" not in z:
             raise ValueError(f"{path}: not a model checkpoint")
         version = int(z["format_version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        kwargs = {name: int(z[f"config.{name}"]) for name in _CONFIG_FIELDS}
-        kwargs["dropout"] = float(z["config.dropout"])
-        kwargs["per_head_scale"] = bool(int(z["config.per_head_scale"]))
+        kwargs = {}
+        for f in dataclasses.fields(ModelConfig):
+            key = f"config.{f.name}"
+            if key not in z:
+                raise ValueError(f"{path}: missing config key '{key}'")
+            kwargs[f.name] = type(f.default)(z[key])
         config = ModelConfig(**kwargs)
         tensors = {}
         for name, shape, _ in _layout(config):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import atomic_open
 from .model import TwoChannelTransformer, predict
 
 __all__ = [
@@ -129,12 +130,18 @@ def generate_mask(spec: OcclusionSpec, n_frames: int, n_params: int) -> Occlusio
     return gen_joint_dropout(spec, n_frames, n_params)
 
 
-def apply_mask(prefix: np.ndarray, mask: OcclusionMask) -> np.ndarray:
-    """Zero out occluded cells; the mask itself carries the flags."""
+def _masked_prefix(prefix, mask: OcclusionMask) -> np.ndarray:
+    """``prefix`` as float64, checked to have the mask's shape."""
     prefix = np.asarray(prefix, dtype=np.float64)
     if prefix.shape != mask.observed.shape:
         raise ValueError(
             f"prefix shape {prefix.shape} does not match mask {mask.observed.shape}")
+    return prefix
+
+
+def apply_mask(prefix: np.ndarray, mask: OcclusionMask) -> np.ndarray:
+    """Zero out occluded cells; the mask itself carries the flags."""
+    prefix = _masked_prefix(prefix, mask)
     corrupted = prefix.copy()
     corrupted[~mask.observed] = 0.0
     return corrupted
@@ -147,10 +154,7 @@ def recover_linear_interp(corrupted: np.ndarray, mask: OcclusionMask) -> np.ndar
     through the two observations (bidirectional information); runs that
     touch the window start or end hold the nearest observed value.
     """
-    corrupted = np.asarray(corrupted, dtype=np.float64)
-    if corrupted.shape != mask.observed.shape:
-        raise ValueError(
-            f"prefix shape {corrupted.shape} does not match mask {mask.observed.shape}")
+    corrupted = _masked_prefix(corrupted, mask)
     out = corrupted.copy()
     t = np.arange(corrupted.shape[0])
     for p in range(corrupted.shape[1]):
@@ -173,10 +177,7 @@ def recover_short_term(history: np.ndarray, corrupted: np.ndarray,
     Occluded cells take the forecast, observed cells keep their data.
     """
     history = np.asarray(history, dtype=np.float64)
-    corrupted = np.asarray(corrupted, dtype=np.float64)
-    if corrupted.shape != mask.observed.shape:
-        raise ValueError(
-            f"prefix shape {corrupted.shape} does not match mask {mask.observed.shape}")
+    corrupted = _masked_prefix(corrupted, mask)
     n = corrupted.shape[0]
     if model.config.horizon < n:
         raise RecoveryError(
@@ -200,10 +201,7 @@ def recover_autoregressive(corrupted: np.ndarray, mask: OcclusionMask,
     observation at all keeps its fill value until the sweep reaches it.
     The sweep makes ceil(occluded-span / 2) model calls.
     """
-    corrupted = np.asarray(corrupted, dtype=np.float64)
-    if corrupted.shape != mask.observed.shape:
-        raise ValueError(
-            f"prefix shape {corrupted.shape} does not match mask {mask.observed.shape}")
+    corrupted = _masked_prefix(corrupted, mask)
     recon = corrupted.copy()
     occ = ~mask.observed
     if not occ.any():
@@ -234,7 +232,7 @@ def recover_autoregressive(corrupted: np.ndarray, mask: OcclusionMask,
 
 def export_mask_csv(mask: OcclusionMask, path) -> None:
     """Write the grid as comma-separated 0/1 rows (1 = observed)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in mask.observed:
             fh.write(",".join("1" if v else "0" for v in row))
             fh.write("\n")

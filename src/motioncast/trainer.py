@@ -285,13 +285,16 @@ def train_loop(model: TwoChannelTransformer, windows: Sequence[MotionWindow],
 # ---------------------------------------------------------------------------
 
 def _score_windows(model, windows, horizons_ms, exclude, translation,
-                   forecast_prefix=None):
+                   forecast_prefix=None) -> EvalReport:
     """Shared scoring core: forecast each window, Euler-score the horizon
     frames, aggregate per action and overall.
 
     Every horizon is checked before the first forecast or recovery.
     Only the horizon rows are scored: ``euler_mse`` scores each row on
     its own."""
+    if not windows:
+        raise ValueError("evaluation needs at least one window")
+    horizons_ms = tuple(horizons_ms)
     frames = [horizon_frame(ms) for ms in horizons_ms]
     rows = [f - 1 for f in frames]
     for what, h in [("model", model.config.horizon)] + [("window", w.horizon) for w in windows]:
@@ -299,24 +302,26 @@ def _score_windows(model, windows, horizons_ms, exclude, translation,
             raise ValueError(f"{what} horizon {h} shorter than {max(frames)} frames")
     sums = {ms: 0.0 for ms in horizons_ms}
     per_action: dict = {}
+    counts: dict = {}
     for i, w in enumerate(windows):
         prefix = w.prefix if forecast_prefix is None else forecast_prefix(i, w)
         pred = predict(model, prefix)
         scores = euler_mse(w.target[rows], pred[rows], exclude=exclude,
                            translation=translation)
-        act = per_action.setdefault(w.action or "all", {ms: 0.0 for ms in horizons_ms})
+        a = w.action or "all"
+        counts[a] = counts.get(a, 0) + 1
+        act = per_action.setdefault(a, {ms: 0.0 for ms in horizons_ms})
         for ms, score in zip(horizons_ms, scores):
             sums[ms] += float(score)
             act[ms] += float(score)
-    counts = {}
-    for w in windows:
-        a = w.action or "all"
-        counts[a] = counts.get(a, 0) + 1
-    overall = {ms: sums[ms] / len(windows) for ms in horizons_ms}
     for a, acc in per_action.items():
         for ms in horizons_ms:
             acc[ms] /= counts[a]
-    return overall, per_action
+    return EvalReport(horizons_ms=horizons_ms,
+                      overall={ms: sums[ms] / len(windows) for ms in horizons_ms},
+                      per_action=per_action, n_windows=len(windows),
+                      param_count=param_count(model),
+                      config_echo=dataclasses.asdict(model.config))
 
 
 def evaluate_mse_horizons(model: TwoChannelTransformer,
@@ -326,15 +331,7 @@ def evaluate_mse_horizons(model: TwoChannelTransformer,
                           horizons_ms: Sequence[int] = HORIZONS_MS) -> EvalReport:
     """One forward pass per window; Euler-MSE at each horizon frame,
     averaged per action and overall."""
-    if not windows:
-        raise ValueError("evaluation needs at least one window")
-    horizons_ms = tuple(horizons_ms)
-    overall, per_action = _score_windows(model, windows, horizons_ms,
-                                         exclude, translation)
-    return EvalReport(horizons_ms=horizons_ms, overall=overall,
-                      per_action=per_action, n_windows=len(windows),
-                      param_count=param_count(model),
-                      config_echo=dataclasses.asdict(model.config))
+    return _score_windows(model, windows, horizons_ms, exclude, translation)
 
 
 def _window_seed(spec: OcclusionSpec, index: int) -> int:
@@ -356,11 +353,8 @@ def occlusion_eval(model: TwoChannelTransformer,
     reconstruction error of the recovered prefix against the clean one,
     measured directly on axis-angle parameters.
     """
-    if not windows:
-        raise ValueError("evaluation needs at least one window")
     if strategy not in RECOVERY_STRATEGIES:
         raise ValueError(f"strategy must be one of {RECOVERY_STRATEGIES}")
-    horizons_ms = tuple(horizons_ms)
     recon_sq = 0.0
 
     def corrupted_prefix(i, w):
@@ -380,14 +374,10 @@ def occlusion_eval(model: TwoChannelTransformer,
         recon_sq += float(np.mean((recon - w.prefix) ** 2))
         return recon
 
-    overall, per_action = _score_windows(model, windows, horizons_ms, exclude,
-                                         translation,
-                                         forecast_prefix=corrupted_prefix)
-    return EvalReport(horizons_ms=horizons_ms, overall=overall,
-                      per_action=per_action, n_windows=len(windows),
-                      param_count=param_count(model),
-                      config_echo=dataclasses.asdict(model.config),
-                      prefix_recon_mse=recon_sq / len(windows))
+    report = _score_windows(model, windows, horizons_ms, exclude, translation,
+                            forecast_prefix=corrupted_prefix)
+    report.prefix_recon_mse = recon_sq / len(windows)
+    return report
 
 
 def _minor_faults() -> Optional[int]:

@@ -7,8 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from motioncast.cli import DEFAULTS, main
+from motioncast.cli import DEFAULTS, main, resolve_config
 from motioncast.dataset import load_csv_sequence
 
 TINY_MODEL = ["--set", "model.n_params=6", "--set", "model.n_prefix=4",
@@ -70,6 +72,76 @@ def test_run_config_lists_every_key(tmp_path):
     assert set(pairs) == set(DEFAULTS)
     assert pairs["synth.count"] == "3"
     assert pairs["model.embed_dim"] == str(DEFAULTS["model.embed_dim"])
+
+
+# run_config.txt of a default run, written out by hand: the key set,
+# defaults and their spelling, which the CLI derives from the config
+# dataclasses for the model.*, train.*, dataset.* and occlusion.* keys.
+DEFAULT_RUN_CONFIG = """\
+bench.reps=100
+bench.warmup=10
+dataset.actions=
+dataset.downsample_factor=1
+dataset.root=data
+dataset.stride=5
+dataset.subjects=
+eval.exclude=
+eval.translation=
+fps=25.0
+model.dropout=0.1
+model.embed_dim=160
+model.ffn_mult=4
+model.horizon=25
+model.n_heads=8
+model.n_layers=4
+model.n_params=99
+model.n_prefix=10
+model.per_head_scale=False
+occlusion.enabled=False
+occlusion.kind=time_consistent
+occlusion.mean_duration_frames=3.0
+occlusion.ratio=0.4
+occlusion.strategy=interp
+paths.checkpoint=
+paths.input=
+seed=0
+synth.count=8
+synth.n_frames=120
+synth.n_params=99
+train.batch_size=4
+train.beta1=0.9
+train.beta2=0.999
+train.clip_norm=1.0
+train.epochs=10
+train.eps=1e-08
+train.horizon_weighting=False
+train.lr=0.001
+"""
+
+
+def test_default_run_config_is_pinned(tmp_path):
+    assert main(["synth", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "run_config.txt").read_text() == DEFAULT_RUN_CONFIG
+    assert len(DEFAULT_RUN_CONFIG.splitlines()) == len(DEFAULTS) == 38
+
+
+def _value_like(default):
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers()
+    if isinstance(default, float):
+        return st.floats(allow_nan=False)
+    return st.text().map(str.strip)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_set_round_trips_a_value_of_the_default_type(data):
+    key = data.draw(st.sampled_from(sorted(DEFAULTS)))
+    value = data.draw(_value_like(DEFAULTS[key]))
+    got = resolve_config(sets=[f"{key}={value}"])[key]
+    assert got == value and type(got) is type(value)
 
 
 def test_config_file_and_set_precedence(tmp_path):
@@ -234,6 +306,37 @@ def test_predict_non_finite_checkpoint_exits_2(tmp_path, capsys):
                "--set", f"paths.input={src}"])
     assert rc == 2
     assert "temporal.decoder.weight" in capsys.readouterr().err
+
+
+def _write_npz_without_config_key(path):
+    from motioncast.model import ModelConfig, init_model, save_checkpoint
+    save_checkpoint(init_model(ModelConfig(n_params=6, n_prefix=4, horizon=3,
+                                           embed_dim=8, n_heads=2, n_layers=1)),
+                    path)
+    with np.load(path) as z:
+        arrays = dict(z)
+    del arrays["config.dropout"]
+    np.savez(path, **arrays)
+
+
+def _write_npy_payload(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("write", [_write_npz_without_config_key,
+                                   _write_npy_payload])
+def test_predict_malformed_checkpoint_exits_2(tmp_path, capsys, write):
+    data = tmp_path / "data"
+    assert main(synth_args(data, count=1, frames=12)) == 0
+    src = next((data / "synth").glob("*.csv"))
+    ckpt = tmp_path / "model.npz"
+    write(ckpt)
+    rc = main(["predict", "--out", str(tmp_path / "p"),
+               "--set", f"paths.checkpoint={ckpt}",
+               "--set", f"paths.input={src}"])
+    assert rc == 2
+    assert str(ckpt) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

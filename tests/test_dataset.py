@@ -48,6 +48,16 @@ def test_non_numeric_reports_line_and_column(tmp_path):
     assert "line 2" in msg and "column 2" in msg
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "NaN"])
+def test_non_finite_token_reports_path_line_and_column(tmp_path, token):
+    """A blank line does not shift the reported line number."""
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1,2,3\n\n4,5,6\n7,8,{token}\n")
+    with pytest.raises(ParseError) as exc:
+        load_csv_sequence(path)
+    assert str(exc.value).startswith(f"{path}: line 4, column 3: ")
+
+
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -429,6 +429,75 @@ def test_checkpoint_not_a_checkpoint(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_missing_config_key_names_path(tmp_path):
+    model = init_model(TINY, seed=31)
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path)
+    with np.load(path) as z:
+        arrays = dict(z)
+    del arrays["config.n_layers"]
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="config.n_layers") as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)
+
+
+def test_checkpoint_npy_payload_names_path(tmp_path):
+    path = tmp_path / "model.npz"
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+    with pytest.raises(ValueError, match="not a model checkpoint") as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)
+
+
+# The v1 config block: key order and dtype, written out by hand.
+V1_CONFIG = [("config.n_params", "<i8"), ("config.n_prefix", "<i8"),
+             ("config.horizon", "<i8"), ("config.embed_dim", "<i8"),
+             ("config.n_heads", "<i8"), ("config.n_layers", "<i8"),
+             ("config.ffn_mult", "<i8"), ("config.dropout", "<f8"),
+             ("config.per_head_scale", "<i8")]
+
+
+def test_save_checkpoint_writes_the_v1_config_block(tmp_path):
+    model = init_model(TINY, seed=32)
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path)
+    with np.load(path) as z:
+        files = z.files
+        head = [(k, z[k].dtype.str, z[k].shape) for k in files[:10]]
+        assert files[10:] == list(named_params(model))
+    assert head == ([("format_version", "<i8", ())]
+                    + [(k, dt, ()) for k, dt in V1_CONFIG])
+
+
+def test_hand_built_v1_checkpoint_loads(tmp_path):
+    source = randomized_model(TINY, seed=33)
+    arrays = {"format_version": np.array(1, dtype="<i8"),
+              "config.n_params": np.array(6, dtype="<i8"),
+              "config.n_prefix": np.array(4, dtype="<i8"),
+              "config.horizon": np.array(3, dtype="<i8"),
+              "config.embed_dim": np.array(8, dtype="<i8"),
+              "config.n_heads": np.array(2, dtype="<i8"),
+              "config.n_layers": np.array(1, dtype="<i8"),
+              "config.ffn_mult": np.array(4, dtype="<i8"),
+              "config.dropout": np.array(0.25, dtype="<f8"),
+              "config.per_head_scale": np.array(1, dtype="<i8")}
+    for name, p in named_params(source).items():
+        arrays[name] = p.data.astype("<f8")
+    path = tmp_path / "model.npz"
+    np.savez(path, **arrays)
+    back = load_checkpoint(path)
+    assert back.config == ModelConfig(n_params=6, n_prefix=4, horizon=3,
+                                      embed_dim=8, n_heads=2, n_layers=1,
+                                      ffn_mult=4, dropout=0.25,
+                                      per_head_scale=True)
+    assert type(back.config.per_head_scale) is bool
+    assert type(back.config.dropout) is float
+    for name, p in named_params(back).items():
+        np.testing.assert_array_equal(p.data, arrays[name])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(embed_dim=10, n_heads=4)     # not divisible

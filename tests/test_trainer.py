@@ -15,7 +15,7 @@ from motioncast.dataset import MotionWindow, build_padded_input
 from motioncast.kinematics import euler_mse
 from motioncast.model import (ModelConfig, init_model, load_checkpoint,
                               model_forward, named_params, save_checkpoint)
-from motioncast.occlusion import OcclusionSpec
+from motioncast.occlusion import OcclusionMask, OcclusionSpec, export_mask_csv
 from motioncast.tensor import Tensor
 from motioncast.trainer import (HORIZONS_MS, AdamState, LatencyStats,
                                 NonFiniteGradient, TrainConfig, adam_step,
@@ -531,7 +531,8 @@ def _failing_savez(fh, **arrays):
     raise OSError("disk full")
 
 
-@pytest.mark.parametrize("writer", ["eval_report", "loss_curve", "checkpoint"])
+@pytest.mark.parametrize("writer", ["eval_report", "loss_curve", "checkpoint",
+                                    "mask_csv"])
 def test_failed_write_keeps_previous_artifact(tmp_path, monkeypatch, writer):
     """Each writer fills a temporary file beside the target and renames it
     into place, so a write that fails midway leaves the previous file
@@ -548,6 +549,12 @@ def test_failed_write_keeps_previous_artifact(tmp_path, monkeypatch, writer):
         path = tmp_path / "curve.csv"
         write_loss_curve([(1, 0.5)], path)
         fail = lambda: write_loss_curve([(1, 0.25), (2, _Unserializable())], path)
+    elif writer == "mask_csv":
+        path = tmp_path / "mask.csv"
+        mask = OcclusionMask(np.ones((2, 3), dtype=bool), ratio_requested=0.0)
+        export_mask_csv(mask, path)
+        mask.observed = [mask.observed[0], None]  # the second row fails
+        fail = lambda: export_mask_csv(mask, path)
     else:
         path = tmp_path / "model.npz"
         save_checkpoint(model, path)
