@@ -135,26 +135,29 @@ def load_csv_sequence(path, fps: float = 25.0, meta: Optional[dict] = None) -> M
     rows = []
     linenos = []
     width = None
-    with open(path, "r", encoding="utf-8", newline=None) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ParseError(
-                    f"{path}: line {lineno} has {len(fields)} fields, expected {width}")
-            row = np.empty(width)
-            for col, tok in enumerate(fields, start=1):
-                try:
-                    row[col - 1] = float(tok)
-                except ValueError:
+    try:
+        with open(path, "r", encoding="utf-8", newline=None) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                fields = line.split(",")
+                if width is None:
+                    width = len(fields)
+                elif len(fields) != width:
                     raise ParseError(
-                        f"{path}: line {lineno}, column {col}: not a number: {tok!r}") from None
-            rows.append(row)
-            linenos.append(lineno)
+                        f"{path}: line {lineno} has {len(fields)} fields, expected {width}")
+                row = np.empty(width)
+                for col, tok in enumerate(fields, start=1):
+                    try:
+                        row[col - 1] = float(tok)
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: line {lineno}, column {col}: not a number: {tok!r}") from None
+                rows.append(row)
+                linenos.append(lineno)
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
     if not rows:
         raise ParseError(f"{path}: no frames")
     frames = np.vstack(rows)

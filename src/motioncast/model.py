@@ -24,6 +24,7 @@ import dataclasses
 import functools
 import math
 import os
+import zipfile
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -462,14 +463,25 @@ def save_checkpoint(model: TwoChannelTransformer, path) -> None:
         np.savez(fh, **arrays)
 
 
+def _checkpoint_scalar(z, key: str, kind: type, path):
+    """``z[key]`` as a ``kind``: a finite number that ``kind`` holds exactly."""
+    a = z[key]
+    if a.shape != () or a.dtype.kind not in "biuf" or not np.isfinite(a) or kind(a) != a:
+        raise ValueError(f"{path}: '{key}' is not a single {kind.__name__}: {a!r}")
+    return kind(a)
+
+
 def load_checkpoint(path) -> TwoChannelTransformer:
-    z = np.load(path)
+    try:
+        z = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as e:
+        raise ValueError(f"{path}: not a model checkpoint") from e
     if not isinstance(z, np.lib.npyio.NpzFile):
         raise ValueError(f"{path}: not a model checkpoint")
     with z:
         if "format_version" not in z:
             raise ValueError(f"{path}: not a model checkpoint")
-        version = int(z["format_version"])
+        version = _checkpoint_scalar(z, "format_version", int, path)
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         kwargs = {}
@@ -477,7 +489,7 @@ def load_checkpoint(path) -> TwoChannelTransformer:
             key = f"config.{f.name}"
             if key not in z:
                 raise ValueError(f"{path}: missing config key '{key}'")
-            kwargs[f.name] = type(f.default)(z[key])
+            kwargs[f.name] = _checkpoint_scalar(z, key, type(f.default), path)
         config = ModelConfig(**kwargs)
         tensors = {}
         for name, shape, _ in _layout(config):

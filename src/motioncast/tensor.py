@@ -15,9 +15,9 @@ Design notes:
   attaches a ``TapeNode`` to the tensor it produces. ``backward`` walks
   the nodes reachable from the loss, replays them in strict reverse
   creation order, then detaches them, so a graph lives exactly as long
-  as the tensors that own it. Under ``no_tape`` no op builds a node, and
-  the ops of the model's forward pass skip building their backward
-  closures as well.
+  as the tensors that own it. Each op has one body for both paths: it
+  computes its result, defines ``bwd`` and hands both to ``_record``,
+  which under ``no_tape`` builds no node and drops ``bwd``.
 * ``add``, ``scale``, ``relu``, ``add_bias`` and ``softmax_masked`` take
   an ``out=`` tensor of the result's shape. Under ``no_tape`` the result
   is written into its buffer (which may be an operand's); while
@@ -190,8 +190,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.shape[-1] != bd.shape[-2] or ad.shape[:-2] != bd.shape[:-2]:
         raise ShapeError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
     out = Tensor(np.matmul(ad, bd))
-    if not _RECORDING:
-        return out
 
     def bwd(g):
         ga = np.matmul(g, bd.swapaxes(-1, -2)) if a.requires_grad else None
@@ -232,8 +230,6 @@ def elementwise(kind: str, a: Tensor, b=None, out: Optional[Tensor] = None) -> T
         ad, bd = a.data, b.data
         ufunc = {"add": np.add, "sub": np.subtract, "mul": np.multiply}[kind]
         res = Tensor(ufunc(ad, bd, out=buf))
-        if not _RECORDING:
-            return res
         if kind == "add":
             bwd = lambda g: (g, g)
         elif kind == "sub":
@@ -245,16 +241,13 @@ def elementwise(kind: str, a: Tensor, b=None, out: Optional[Tensor] = None) -> T
     if kind == "scale":
         c = float(b)
         res = Tensor(np.multiply(a.data, c, out=buf))
-        return _record("scale", (a,), res, lambda g: (g * c,)) if _RECORDING else res
+        return _record("scale", (a,), res, lambda g: (g * c,))
     if kind == "relu":
-        # Both paths map every entry that is not > 0, NaN included, to 0
-        # (fmax, unlike maximum, drops a NaN operand); in place, fmax may
-        # keep the sign of a -0.0.
-        if not _RECORDING:
-            return Tensor(np.fmax(a.data, 0.0, out=buf))
-        pos = a.data > 0
-        res = Tensor(np.where(pos, a.data, 0.0))
-        return _record("relu", (a,), res, lambda g: (g * pos,))
+        # Every entry that is not > 0, NaN included, maps to 0 (fmax,
+        # unlike maximum, drops a NaN operand); fmax may keep the sign of
+        # a -0.0.
+        res = Tensor(np.fmax(a.data, 0.0, out=buf))
+        return _record("relu", (a,), res, lambda g: (g * (a.data > 0),))
     raise ValueError(f"unknown elementwise kind '{kind}'")
 
 
@@ -263,8 +256,6 @@ def add_bias(x: Tensor, b: Tensor, out: Optional[Tensor] = None) -> Tensor:
     if b.ndim != 1 or x.shape[-1] != b.shape[0]:
         raise ShapeError(f"add_bias: bias {b.shape} does not fit rows of {x.shape}")
     res = Tensor(np.add(x.data, b.data, out=_out_buffer(out)))
-    if not _RECORDING:
-        return res
 
     def bwd(g):
         gb = g.reshape(-1, b.shape[0]).sum(axis=0) if b.requires_grad else None
@@ -296,8 +287,6 @@ def softmax_masked(scores: Tensor, mask=None, out: Optional[Tensor] = None) -> T
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     res = Tensor(y)
-    if not _RECORDING:
-        return res
 
     def bwd(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -318,12 +307,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    if not _RECORDING:
-        # Nothing keeps xhat: the affine step may overwrite it.
-        xhat *= gain.data
-        xhat += bias.data
-        return Tensor(xhat)
-    out = Tensor(xhat * gain.data + bias.data)
+    # bwd keeps xhat; under no_tape nothing does, so y may overwrite it.
+    y = xhat.copy() if _RECORDING else xhat
+    y *= gain.data
+    y += bias.data
+    out = Tensor(y)
 
     def bwd(g):
         gg = (g * xhat).reshape(-1, d).sum(axis=0) if gain.requires_grad else None
@@ -343,10 +331,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def transpose(x: Tensor, axes: Optional[tuple] = None) -> Tensor:
     perm = tuple(axes) if axes is not None else tuple(reversed(range(x.ndim)))
     out = Tensor(np.transpose(x.data, perm))
-    if not _RECORDING:
-        return out
-    inverse = tuple(np.argsort(perm))
-    return _record("transpose", (x,), out, lambda g: (np.ascontiguousarray(np.transpose(g, inverse)),))
+    return _record("transpose", (x,), out,
+                   lambda g: (np.ascontiguousarray(np.transpose(g, np.argsort(perm))),))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -355,8 +341,6 @@ def reshape(x: Tensor, shape) -> Tensor:
         raise ShapeError(f"cannot reshape {x.shape} to {shp}")
     orig = x.shape
     out = Tensor(x.data.reshape(shp))
-    if not _RECORDING:
-        return out
     return _record("reshape", (x,), out, lambda g: (g.reshape(orig),))
 
 

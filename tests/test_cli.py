@@ -339,6 +339,36 @@ def test_predict_malformed_checkpoint_exits_2(tmp_path, capsys, write):
     assert str(ckpt) in capsys.readouterr().err
 
 
+def _write_truncated_npz(path):
+    _write_npz_without_config_key(path)
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _write_non_scalar_config(path):
+    _write_npz_without_config_key(path)
+    with np.load(path) as z:
+        arrays = dict(z)
+    arrays["config.dropout"] = np.zeros(2)
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("write", [_write_truncated_npz, _write_non_scalar_config])
+def test_predict_unreadable_checkpoint_exits_2(tmp_path, capsys, write):
+    """A truncated archive or a non-scalar config entry is a usage error
+    naming the file, not a traceback."""
+    data = tmp_path / "data"
+    assert main(synth_args(data, count=1, frames=12)) == 0
+    src = next((data / "synth").glob("*.csv"))
+    ckpt = tmp_path / "model.npz"
+    write(ckpt)
+    rc = main(["predict", "--out", str(tmp_path / "p"),
+               "--set", f"paths.checkpoint={ckpt}",
+               "--set", f"paths.input={src}"])
+    assert rc == 2
+    assert str(ckpt) in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

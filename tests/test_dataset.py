@@ -58,6 +58,14 @@ def test_non_finite_token_reports_path_line_and_column(tmp_path, token):
     assert str(exc.value).startswith(f"{path}: line 4, column 3: ")
 
 
+def test_non_utf8_file_names_path(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("1,2,3\n4,5,6 # caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ParseError) as exc:
+        load_csv_sequence(path)
+    assert str(exc.value) == f"{path}: not UTF-8 text"
+
+
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

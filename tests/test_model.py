@@ -451,6 +451,47 @@ def test_checkpoint_npy_payload_names_path(tmp_path):
     assert str(path) in str(exc.value)
 
 
+def _resaved(**changes):
+    """A writer: save TINY, then re-save with ``changes`` to its arrays."""
+    def write(path):
+        save_checkpoint(init_model(TINY, seed=34), path)
+        with np.load(path) as z:
+            arrays = dict(z)
+        arrays.update(changes)
+        np.savez(path, **arrays)
+    return write
+
+
+def _truncated(path):
+    save_checkpoint(init_model(TINY, seed=34), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+MALFORMED_CHECKPOINTS = {
+    "truncated": (_truncated, "not a model checkpoint"),
+    "text": (lambda path: path.write_text("not an archive\n"), "not a model checkpoint"),
+    "empty": (lambda path: path.write_bytes(b""), "not a model checkpoint"),
+    "list_config": (_resaved(**{"config.n_layers": np.array([1, 2])}), "config.n_layers"),
+    "list_version": (_resaved(format_version=np.array([1, 1])), "format_version"),
+    "fractional_config": (_resaved(**{"config.n_layers": np.float64(1.7)}), "config.n_layers"),
+    "text_config": (_resaved(**{"config.n_heads": np.str_("2")}), "config.n_heads"),
+    "nan_config": (_resaved(**{"config.dropout": np.float64("nan")}), "config.dropout"),
+    "two_valued_flag": (_resaved(**{"config.per_head_scale": np.int64(2)}),
+                        "config.per_head_scale"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_names_path_and_key(tmp_path, name):
+    write, expected = MALFORMED_CHECKPOINTS[name]
+    path = tmp_path / "model.npz"
+    write(path)
+    with pytest.raises(ValueError, match=expected) as exc:
+        load_checkpoint(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 # The v1 config block: key order and dtype, written out by hand.
 V1_CONFIG = [("config.n_params", "<i8"), ("config.n_prefix", "<i8"),
              ("config.horizon", "<i8"), ("config.embed_dim", "<i8"),
