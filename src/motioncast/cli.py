@@ -88,8 +88,12 @@ DEFAULTS = {
     "paths.input": "",
 }
 
-_TRUTHY = {"1", "true", "yes", "on"}
-_FALSY = {"0", "false", "no", "off"}
+_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+             **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+# Per default type: the parse of a raw value, and what the error names.
+_PARSERS = {bool: (lambda raw: _BOOLEANS[raw.strip().lower()], "a boolean"),
+            int: (int, "an integer"), float: (float, "a number")}
 
 
 class UsageError(Exception):
@@ -102,25 +106,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _coerce(key: str, raw: str):
-    default = DEFAULTS[key]
-    if isinstance(default, bool):
-        low = raw.strip().lower()
-        if low in _TRUTHY:
-            return True
-        if low in _FALSY:
-            return False
-        raise UsageError(f"config key '{key}' expects a boolean, got {raw!r}")
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise UsageError(f"config key '{key}' expects an integer, got {raw!r}")
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise UsageError(f"config key '{key}' expects a number, got {raw!r}")
-    return raw
+    kind = type(DEFAULTS[key])
+    if kind not in _PARSERS:
+        return raw
+    parse, what = _PARSERS[kind]
+    try:
+        return parse(raw)
+    except (KeyError, ValueError):
+        raise UsageError(f"config key '{key}' expects {what}, got {raw!r}")
 
 
 def _parse_pairs(lines, origin: str):
@@ -343,11 +336,6 @@ def main(argv=None) -> int:
         if config["occlusion.strategy"] not in RECOVERY_STRATEGIES:
             raise UsageError(
                 f"occlusion.strategy must be one of {RECOVERY_STRATEGIES}")
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-
-    try:
         os.makedirs(args.out, exist_ok=True)
         _write_run_config(config, args.out)
         return _COMMANDS[args.command][0](config, args.out)

@@ -129,11 +129,11 @@ class DatasetSpec:
             raise ValueError("downsample factor must be >= 1")
 
 
-def load_csv_sequence(path, fps: float = 25.0, meta: Optional[dict] = None) -> MotionSequence:
-    """Parse one motion CSV. Every line must carry the same field count."""
+def load_csv_sequence(path, fps: float = 25.0) -> MotionSequence:
+    """Parse one motion CSV of equal-width rows of finite numbers, raising on
+    the first fault in file order. Subject and action come from the path."""
     path = Path(path)
     rows = []
-    linenos = []
     width = None
     try:
         with open(path, "r", encoding="utf-8", newline=None) as fh:
@@ -154,21 +154,17 @@ def load_csv_sequence(path, fps: float = 25.0, meta: Optional[dict] = None) -> M
                     except ValueError:
                         raise ParseError(
                             f"{path}: line {lineno}, column {col}: not a number: {tok!r}") from None
+                if not np.isfinite(row).all():
+                    c = int(np.flatnonzero(~np.isfinite(row))[0])
+                    raise ParseError(f"{path}: line {lineno}, column {c + 1}: "
+                                     f"not a finite number: {float(row[c])}")
                 rows.append(row)
-                linenos.append(lineno)
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
     if not rows:
         raise ParseError(f"{path}: no frames")
-    frames = np.vstack(rows)
-    bad = ~np.isfinite(frames)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise ParseError(f"{path}: line {linenos[r]}, column {c + 1}: "
-                         f"not a finite number: {float(frames[r, c])}")
-    if meta is None:
-        meta = {"subject": path.parent.name, "action": path.stem}
-    return MotionSequence(frames, fps=fps, meta=meta)
+    return MotionSequence(np.vstack(rows), fps=fps,
+                          meta={"subject": path.parent.name, "action": path.stem})
 
 
 @contextlib.contextmanager

@@ -76,18 +76,17 @@ class ModelConfig:
     per_head_scale: bool = False
 
     def __post_init__(self):
+        for name in ("n_params", "n_prefix", "horizon", "embed_dim", "n_heads",
+                     "n_layers", "ffn_mult"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.embed_dim % self.n_heads != 0:
             raise ValueError(
                 f"embed_dim {self.embed_dim} not divisible by n_heads {self.n_heads}")
         if self.embed_dim % 2 != 0:
             raise ValueError("embed_dim must be even for sinusoidal encoding")
-        if self.n_layers < 1:
-            raise ValueError("n_layers must be >= 1")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must lie in [0, 1)")
-        for name in ("n_params", "n_prefix", "horizon"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
 
     @property
     def total(self) -> int:
@@ -463,9 +462,16 @@ def save_checkpoint(model: TwoChannelTransformer, path) -> None:
         np.savez(fh, **arrays)
 
 
+def _member(z, key: str, path) -> np.ndarray:
+    try:
+        return z[key]
+    except ValueError as e:  # an object array, which np.load will not unpickle
+        raise ValueError(f"{path}: '{key}' cannot be loaded: {e}") from None
+
+
 def _checkpoint_scalar(z, key: str, kind: type, path):
     """``z[key]`` as a ``kind``: a finite number that ``kind`` holds exactly."""
-    a = z[key]
+    a = _member(z, key, path)
     if a.shape != () or a.dtype.kind not in "biuf" or not np.isfinite(a) or kind(a) != a:
         raise ValueError(f"{path}: '{key}' is not a single {kind.__name__}: {a!r}")
     return kind(a)
@@ -490,12 +496,15 @@ def load_checkpoint(path) -> TwoChannelTransformer:
             if key not in z:
                 raise ValueError(f"{path}: missing config key '{key}'")
             kwargs[f.name] = _checkpoint_scalar(z, key, type(f.default), path)
-        config = ModelConfig(**kwargs)
+        try:
+            config = ModelConfig(**kwargs)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
         tensors = {}
         for name, shape, _ in _layout(config):
             if name not in z:
                 raise ValueError(f"{path}: missing weight '{name}'")
-            arr = np.asarray(z[name], dtype=np.float64)
+            arr = np.asarray(_member(z, name, path), dtype=np.float64)
             if arr.shape != shape:
                 raise ValueError(
                     f"{path}: weight '{name}' has shape {arr.shape}, expected {shape}")

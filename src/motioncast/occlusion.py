@@ -206,8 +206,6 @@ def recover_autoregressive(corrupted: np.ndarray, mask: OcclusionMask,
     occ = ~mask.observed
     if not occ.any():
         return recon
-    n_frames = corrupted.shape[0]
-    n = model.config.n_prefix
 
     # Seed leading occluded runs so early steps have defined history.
     for p in range(corrupted.shape[1]):
@@ -216,17 +214,12 @@ def recover_autoregressive(corrupted: np.ndarray, mask: OcclusionMask,
             recon[:col_obs[0], p] = recon[col_obs[0], p]
 
     occ_frames = np.flatnonzero(occ.any(axis=1))
-    first, last = int(occ_frames[0]), int(occ_frames[-1])
-    for pos in range(first, last + 1, 2):
-        hist = recon[:pos] if pos > 0 else recon[:1]
-        if hist.shape[0] < n:
-            pad = np.repeat(hist[:1], n - hist.shape[0], axis=0)
-            hist = np.vstack([pad, hist])
-        forecast = predict(model, hist)
-        for j in range(min(2, n_frames - pos)):
-            row = pos + j
-            hit = occ[row]
-            recon[row, hit] = forecast[j, hit]
+    for pos in range(occ_frames[0], occ_frames[-1] + 1, 2):
+        hist = recon[:max(pos, 1)]
+        short = max(model.config.n_prefix - len(hist), 0)
+        forecast = predict(model, np.pad(hist, ((short, 0), (0, 0)), mode="edge"))
+        hit = occ[pos:pos + 2]
+        recon[pos:pos + 2][hit] = forecast[:len(hit)][hit]
     return recon
 
 

@@ -242,14 +242,9 @@ def train_loop(model: TwoChannelTransformer, windows: Sequence[MotionWindow],
     state = init_adam(params)
     drop_rng = np.random.default_rng([config.seed, 1])
     curve = []
-    step = 0
-    last_good = {k: p.data.copy() for k, p in params.items()}
-
-    def restore():
-        for k, p in params.items():
-            p.data[...] = last_good[k]
 
     for epoch in range(config.epochs):
+        last_good = {k: p.data.copy() for k, p in params.items()}
         order = np.random.default_rng([config.seed, 2, epoch]).permutation(len(windows))
         for lo in range(0, len(order), config.batch_size):
             batch = [windows[i] for i in order[lo:lo + config.batch_size]]
@@ -263,18 +258,16 @@ def train_loop(model: TwoChannelTransformer, windows: Sequence[MotionWindow],
                 batch_loss += float(lw.data)
                 tz.backward(tz.scale(lw, 1.0 / len(batch)))
             batch_loss /= len(batch)
-            if not math.isfinite(batch_loss):
-                restore()
-                return TrainResult(model, curve, halted=True)
             try:
+                if not math.isfinite(batch_loss):
+                    raise NonFiniteGradient("non-finite batch loss")
                 clip_gradients(params, config.clip_norm)
                 adam_step(params, state, config)
             except NonFiniteGradient:
-                restore()
+                for k, p in params.items():
+                    p.data[...] = last_good[k]
                 return TrainResult(model, curve, halted=True)
-            step += 1
-            curve.append((step, batch_loss))
-        last_good = {k: p.data.copy() for k, p in params.items()}
+            curve.append((len(curve) + 1, batch_loss))
         if checkpoint_dir is not None:
             save_checkpoint(model, f"{checkpoint_dir}/epoch{epoch + 1:03d}.npz")
     return TrainResult(model, curve)
@@ -300,26 +293,23 @@ def _score_windows(model, windows, horizons_ms, exclude, translation,
     for what, h in [("model", model.config.horizon)] + [("window", w.horizon) for w in windows]:
         if h < max(frames):
             raise ValueError(f"{what} horizon {h} shorter than {max(frames)} frames")
-    sums = {ms: 0.0 for ms in horizons_ms}
-    per_action: dict = {}
-    counts: dict = {}
+    scored = []                   # (action, per-horizon scores), window order
     for i, w in enumerate(windows):
         prefix = w.prefix if forecast_prefix is None else forecast_prefix(i, w)
         pred = predict(model, prefix)
         scores = euler_mse(w.target[rows], pred[rows], exclude=exclude,
                            translation=translation)
-        a = w.action or "all"
-        counts[a] = counts.get(a, 0) + 1
-        act = per_action.setdefault(a, {ms: 0.0 for ms in horizons_ms})
-        for ms, score in zip(horizons_ms, scores):
-            sums[ms] += float(score)
-            act[ms] += float(score)
-    for a, acc in per_action.items():
-        for ms in horizons_ms:
-            acc[ms] /= counts[a]
-    return EvalReport(horizons_ms=horizons_ms,
-                      overall={ms: sums[ms] / len(windows) for ms in horizons_ms},
-                      per_action=per_action, n_windows=len(windows),
+        scored.append((w.action or "all", scores))
+
+    def means(entries):
+        # Left to right in window order: np.mean and Python 3.12's sum() round differently.
+        total = np.add.accumulate([s for _, s in entries])[-1]
+        return {ms: float(t) / len(entries) for ms, t in zip(horizons_ms, total)}
+
+    return EvalReport(horizons_ms=horizons_ms, overall=means(scored),
+                      per_action={a: means([e for e in scored if e[0] == a])
+                                  for a in dict.fromkeys(action for action, _ in scored)},
+                      n_windows=len(windows),
                       param_count=param_count(model),
                       config_echo=dataclasses.asdict(model.config))
 
@@ -355,10 +345,9 @@ def occlusion_eval(model: TwoChannelTransformer,
     """
     if strategy not in RECOVERY_STRATEGIES:
         raise ValueError(f"strategy must be one of {RECOVERY_STRATEGIES}")
-    recon_sq = 0.0
+    recon_errors = []
 
     def corrupted_prefix(i, w):
-        nonlocal recon_sq
         wspec = dataclasses.replace(spec, seed=_window_seed(spec, i))
         mask = generate_mask(wspec, w.n_prefix, w.input.shape[1])
         corrupted = apply_mask(w.prefix, mask)
@@ -371,12 +360,12 @@ def occlusion_eval(model: TwoChannelTransformer,
             recon = recover_short_term(w.history, corrupted, mask, model)
         else:
             recon = recover_autoregressive(corrupted, mask, model)
-        recon_sq += float(np.mean((recon - w.prefix) ** 2))
+        recon_errors.append(float(np.mean((recon - w.prefix) ** 2)))
         return recon
 
     report = _score_windows(model, windows, horizons_ms, exclude, translation,
                             forecast_prefix=corrupted_prefix)
-    report.prefix_recon_mse = recon_sq / len(windows)
+    report.prefix_recon_mse = float(np.add.accumulate(recon_errors)[-1]) / len(windows)
     return report
 
 

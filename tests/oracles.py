@@ -206,3 +206,32 @@ def scalar_euler_mse(target, pred, exclude=(), translation=()):
             acc += sum(x * x for x in d)
         out.append(acc)
     return np.array(out)
+
+
+def scalar_recover_autoregressive(corrupted, observed, n_prefix, forecast):
+    """The autoregressive sweep cell by cell. Occluded cells before a
+    column's first observation take that observation; then, 2 frames at a
+    time from the first to the last frame with an occluded cell,
+    ``forecast`` (history -> future frames) runs on the reconstruction so
+    far, front-padded with its first row to ``n_prefix`` frames, and only
+    the occluded cells of those frames take its values."""
+    recon = [[float(v) for v in row] for row in corrupted]
+    n_frames, n_params = len(recon), len(recon[0])
+    occluded = [[not observed[t][p] for p in range(n_params)] for t in range(n_frames)]
+    occ_frames = [t for t in range(n_frames) if any(occluded[t])]
+    if not occ_frames:
+        return np.array(recon)
+    for p in range(n_params):
+        seen = [t for t in range(n_frames) if observed[t][p]]
+        if seen:
+            for t in range(seen[0]):
+                recon[t][p] = recon[seen[0]][p]
+    for pos in range(occ_frames[0], occ_frames[-1] + 1, 2):
+        hist = recon[:pos] if pos > 0 else recon[:1]
+        hist = [hist[0]] * (n_prefix - len(hist)) + hist
+        future = forecast(np.array(hist))
+        for t in range(pos, min(pos + 2, n_frames)):
+            for p in range(n_params):
+                if occluded[t][p]:
+                    recon[t][p] = float(future[t - pos][p])
+    return np.array(recon)

@@ -58,6 +58,19 @@ def test_badly_typed_value(capsys, tmp_path):
     assert "integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, expected", [
+    ("occlusion.enabled=maybe",
+     "usage error: config key 'occlusion.enabled' expects a boolean, got 'maybe'\n"),
+    ("synth.count=1.5",
+     "usage error: config key 'synth.count' expects an integer, got '1.5'\n"),
+    ("fps=fast",
+     "usage error: config key 'fps' expects a number, got 'fast'\n"),
+])
+def test_badly_typed_value_message(capsys, tmp_path, setting, expected):
+    assert main(["synth", "--out", str(tmp_path), "--set", setting]) == 1
+    assert capsys.readouterr().err == expected
+
+
 def test_malformed_set(capsys, tmp_path):
     assert main(["synth", "--out", str(tmp_path), "--set", "synth.count"]) == 1
 
@@ -353,7 +366,25 @@ def _write_non_scalar_config(path):
     np.savez(path, **arrays)
 
 
-@pytest.mark.parametrize("write", [_write_truncated_npz, _write_non_scalar_config])
+def _write_zero_heads_config(path):
+    _write_npz_without_config_key(path)
+    with np.load(path) as z:
+        arrays = dict(z)
+    arrays["config.dropout"] = np.float64(0.1)
+    arrays["config.n_heads"] = np.int64(0)
+    np.savez(path, **arrays)
+
+
+def _write_object_config(path):
+    _write_npz_without_config_key(path)
+    with np.load(path) as z:
+        arrays = dict(z)
+    arrays["config.dropout"] = np.array(None, dtype=object)
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("write", [_write_truncated_npz, _write_non_scalar_config,
+                                   _write_zero_heads_config, _write_object_config])
 def test_predict_unreadable_checkpoint_exits_2(tmp_path, capsys, write):
     """A truncated archive or a non-scalar config entry is a usage error
     naming the file, not a traceback."""
@@ -434,6 +465,15 @@ def test_bench_rejects_tiny_rep_count(tmp_path):
     rc = main(["bench", "--out", str(tmp_path), "--set", "bench.reps=5"]
               + TINY_MODEL)
     assert rc == 2
+
+
+@pytest.mark.parametrize("setting", ["model.n_heads=0", "model.n_heads=-2",
+                                     "model.embed_dim=0", "model.ffn_mult=0"])
+def test_non_positive_model_size_exits_2(tmp_path, capsys, setting):
+    rc = main(["bench", "--out", str(tmp_path)] + TINY_MODEL + ["--set", setting])
+    assert rc == 2
+    field = setting.split(".")[1].split("=")[0]
+    assert capsys.readouterr().err == f"error: {field} must be >= 1\n"
 
 
 def test_train_rejects_nan_learning_rate(tmp_path, capsys):

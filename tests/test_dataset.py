@@ -58,6 +58,20 @@ def test_non_finite_token_reports_path_line_and_column(tmp_path, token):
     assert str(exc.value).startswith(f"{path}: line 4, column 3: ")
 
 
+def test_first_fault_in_file_order_is_reported(tmp_path):
+    """A non-finite token on line 1 is reported before a ragged row on
+    line 2, and a ragged row before a later non-finite token."""
+    path = tmp_path / "bad.csv"
+    path.write_text("1,inf,3\n4,5\n")
+    with pytest.raises(ParseError) as exc:
+        load_csv_sequence(path)
+    assert str(exc.value) == f"{path}: line 1, column 2: not a finite number: inf"
+    path.write_text("1,2,3\n4,5\n6,nan,7\n")
+    with pytest.raises(ParseError) as exc:
+        load_csv_sequence(path)
+    assert str(exc.value) == f"{path}: line 2 has 2 fields, expected 3"
+
+
 def test_non_utf8_file_names_path(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes("1,2,3\n4,5,6 # caf\u00e9\n".encode("latin-1"))

@@ -479,6 +479,15 @@ MALFORMED_CHECKPOINTS = {
     "nan_config": (_resaved(**{"config.dropout": np.float64("nan")}), "config.dropout"),
     "two_valued_flag": (_resaved(**{"config.per_head_scale": np.int64(2)}),
                         "config.per_head_scale"),
+    "zero_layers_config": (_resaved(**{"config.n_layers": np.int64(0)}),
+                           "n_layers must be >= 1"),
+    "zero_heads_config": (_resaved(**{"config.n_heads": np.int64(0)}),
+                          "n_heads must be >= 1"),
+    "object_config": (_resaved(**{"config.dropout": np.array(None, dtype=object)}),
+                      "'config.dropout' cannot be loaded"),
+    "object_weight": (_resaved(**{"temporal.encoder.weight":
+                                  np.array([None], dtype=object)}),
+                      "'temporal.encoder.weight' cannot be loaded"),
 }
 
 
@@ -548,6 +557,16 @@ def test_config_validation():
         ModelConfig(dropout=1.0)
     with pytest.raises(ValueError):
         ModelConfig(n_layers=0)
+
+
+@pytest.mark.parametrize("field, value", [("n_heads", 0), ("n_heads", -2),
+                                          ("embed_dim", 0), ("ffn_mult", 0),
+                                          ("n_layers", 0)])
+def test_config_rejects_non_positive_sizes(field, value):
+    """Each size is checked before it is used: n_heads=0 must not reach
+    ``embed_dim % n_heads``."""
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1$"):
+        ModelConfig(**{field: value})
 
 
 def test_padded_input_feeds_model_exactly():

@@ -1,10 +1,13 @@
 """Mask generation statistics, corruption, and the three recovery
 strategies."""
 
+import math
+
 import numpy as np
 import pytest
+from oracles import scalar_recover_autoregressive
 
-from motioncast.model import ModelConfig, init_model, predict
+from motioncast.model import ModelConfig, init_model, named_params, predict
 from motioncast.occlusion import (OcclusionMask, OcclusionSpec, RecoveryError,
                                   apply_mask, export_mask_csv, generate_mask,
                                   recover_autoregressive, recover_linear_interp,
@@ -288,6 +291,52 @@ def test_autoregressive_leading_gap_seeded_from_first_observation():
                                  zero_velocity_model())
     # hold-nearest seeding, then zero-velocity keeps it
     np.testing.assert_array_equal(rec[:2, 3], [12.0, 12.0])
+
+
+def _random_model(config, seed):
+    """Every weight random, so each forecast depends on its whole history."""
+    model = init_model(config, seed=seed)
+    rng = np.random.default_rng([seed, 99])
+    for p in named_params(model).values():
+        p.data[...] = rng.normal(size=p.shape) * 0.4 / math.sqrt(max(p.shape[0], 1))
+    return model
+
+
+def _oracle_masks():
+    """Leading, interior and trailing runs, a never-observed column, a
+    single hidden cell in the last frame, and generated masks."""
+    masks = []
+    obs = np.ones((9, 6), dtype=bool)
+    obs[:3, 0] = False               # leading run
+    obs[4:6, 1] = False              # interior run
+    obs[7:, 2] = False               # trailing run
+    obs[:, 4] = False                # never observed
+    masks.append(obs)
+    obs = np.ones((9, 6), dtype=bool)
+    obs[8, 5] = False                # one cell, last frame
+    masks.append(obs)
+    obs = np.ones((9, 6), dtype=bool)
+    obs[0, 3] = False                # one cell, first frame
+    masks.append(obs)
+    for seed in range(6):
+        for kind, ratio in (("time_consistent", 0.4), ("joint_dropout", 0.5)):
+            masks.append(generate_mask(OcclusionSpec(kind, ratio, seed=seed), 9, 6).observed)
+    return masks
+
+
+@pytest.mark.parametrize("n_prefix", [4, 12])  # 12: longer than the 9-frame window
+def test_autoregressive_matches_scalar_oracle(n_prefix):
+    config = ModelConfig(n_params=6, n_prefix=n_prefix, horizon=3, embed_dim=8,
+                         n_heads=2, n_layers=1, dropout=0.0)
+    model = _random_model(config, seed=n_prefix)
+    rng = np.random.default_rng(n_prefix)
+    for obs in _oracle_masks():
+        mask = OcclusionMask(obs, 0.4)
+        corrupted = apply_mask(rng.normal(size=(9, 6)) * 0.3, mask)
+        got = recover_autoregressive(corrupted, mask, model)
+        want = scalar_recover_autoregressive(corrupted, obs, n_prefix,
+                                             lambda hist: predict(model, hist))
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from motioncast import tensor as tz
 from motioncast.dataset import MotionWindow, build_padded_input
 from motioncast.kinematics import euler_mse
 from motioncast.model import (ModelConfig, init_model, load_checkpoint,
-                              model_forward, named_params, save_checkpoint)
+                              model_forward, named_params, predict,
+                              save_checkpoint)
 from motioncast.occlusion import OcclusionMask, OcclusionSpec, export_mask_csv
 from motioncast.tensor import Tensor
 from motioncast.trainer import (HORIZONS_MS, AdamState, LatencyStats,
@@ -349,6 +350,36 @@ def test_eval_per_action_split():
     only_a = evaluate_mse_horizons(model, wa)
     for ms in HORIZONS_MS:
         assert abs(report.per_action["walking"][ms] - only_a.overall[ms]) < 1e-12
+
+
+def test_eval_means_equal_a_hand_loop_bit_for_bit():
+    """Uneven action counts, interleaved; an unlabelled window reports as
+    'all'. Each mean is a running total in window order over the count."""
+    actions = ["walking", "eating", "walking", "", "walking", "eating",
+               "walking", "", "walking", "smoking", "walking"]
+    windows = []
+    for i, a in enumerate(actions):
+        windows += long_windows(40 + i, count=1, action=a)
+    model = init_model(ModelConfig(n_params=6, embed_dim=16, n_heads=2,
+                                   n_layers=1), seed=3)
+    report = evaluate_mse_horizons(model, windows)
+    rows = [horizon_frame(ms) - 1 for ms in HORIZONS_MS]
+    overall = [0.0] * len(rows)
+    per_action, counts = {}, {}
+    for w in windows:
+        scores = euler_mse(w.target[rows], predict(model, w.prefix)[rows])
+        a = w.action or "all"
+        counts[a] = counts.get(a, 0) + 1
+        acc = per_action.setdefault(a, [0.0] * len(rows))
+        for j, score in enumerate(scores):
+            overall[j] += float(score)
+            acc[j] += float(score)
+    assert list(report.per_action) == ["walking", "eating", "all", "smoking"]
+    assert report.overall == {ms: overall[j] / len(windows)
+                              for j, ms in enumerate(HORIZONS_MS)}
+    for a, acc in per_action.items():
+        assert report.per_action[a] == {ms: acc[j] / counts[a]
+                                        for j, ms in enumerate(HORIZONS_MS)}
 
 
 def test_eval_order_invariant():
