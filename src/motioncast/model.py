@@ -454,7 +454,7 @@ def save_checkpoint(model: TwoChannelTransformer, path) -> None:
         dtype = np.float64 if isinstance(f.default, float) else np.int64
         arrays[f"config.{f.name}"] = dtype(getattr(model.config, f.name))
     for name, t in named_params(model).items():
-        arrays[name] = t.data.astype("<f8")
+        arrays[name] = np.asarray(t.data, dtype="<f8")  # a copy only on big-endian hosts
     path = os.fspath(path)
     if not path.endswith(".npz"):  # np.savez's naming rule for a path
         path += ".npz"

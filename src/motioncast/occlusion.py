@@ -206,6 +206,12 @@ def recover_autoregressive(corrupted: np.ndarray, mask: OcclusionMask,
     occ = ~mask.observed
     if not occ.any():
         return recon
+    occ_frames = np.flatnonzero(occ.any(axis=1))
+    # The first step reads the most forecast rows: 2, or 1 at the last frame.
+    rows = min(2, len(occ) - occ_frames[0])
+    if model.config.horizon < rows:
+        raise RecoveryError(
+            f"model horizon {model.config.horizon} cannot cover a {rows}-frame sweep step")
 
     # Seed leading occluded runs so early steps have defined history.
     for p in range(corrupted.shape[1]):
@@ -213,7 +219,6 @@ def recover_autoregressive(corrupted: np.ndarray, mask: OcclusionMask,
         if col_obs.size and col_obs[0] > 0:
             recon[:col_obs[0], p] = recon[col_obs[0], p]
 
-    occ_frames = np.flatnonzero(occ.any(axis=1))
     for pos in range(occ_frames[0], occ_frames[-1] + 1, 2):
         hist = recon[:max(pos, 1)]
         short = max(model.config.n_prefix - len(hist), 0)

@@ -12,12 +12,20 @@ Design notes:
   ``no_tape`` a tensor keeps the array it was given: ``transpose``,
   ``reshape`` and ``narrow`` outputs stay views of their input.
 * Differentiation is define-by-run: every op executed while recording
-  attaches a ``TapeNode`` to the tensor it produces. ``backward`` walks
-  the nodes reachable from the loss, replays them in strict reverse
-  creation order, then detaches them, so a graph lives exactly as long
-  as the tensors that own it. Each op has one body for both paths: it
-  computes its result, defines ``bwd`` and hands both to ``_record``,
-  which under ``no_tape`` builds no node and drops ``bwd``.
+  attaches a ``TapeNode`` to the tensor it produces. A node links to its
+  operands' nodes, or to the operands themselves only when they are
+  leaves that require grad, never to an intermediate tensor. So a graph
+  lives exactly as long as the tensors that own it, and the forward
+  arrays it holds are only those that some backward rule reads: each
+  op's ``bwd`` closure keeps, decided at record time, just the arrays its
+  rule needs for the gradients that are wanted (``matmul`` keeps an
+  operand only for the other operand's gradient, ``relu`` its output,
+  ``narrow`` and the reductions a shape). ``backward`` walks the nodes
+  reachable from the loss, replays them in strict reverse creation order
+  and releases each one's closure and links as it goes. Each op has one
+  body for both paths: it computes its result, defines ``bwd`` and hands
+  both to ``_record``, which under ``no_tape`` builds no node and drops
+  ``bwd``.
 * ``add``, ``scale``, ``relu``, ``add_bias`` and ``softmax_masked`` take
   an ``out=`` tensor of the result's shape. Under ``no_tape`` the result
   is written into its buffer (which may be an operand's); while
@@ -87,8 +95,8 @@ class Tensor:
     ``requires_grad`` marks a leaf whose gradient should be accumulated by
     ``backward``. Tensors produced by ops inherit graph membership
     automatically; their gradients are transient and never stored.
-    ``node`` is the recorded op that produced the tensor, until
-    ``backward`` replays it.
+    ``node`` is the recorded op that produced the tensor; ``backward``
+    empties it when it replays it (and unsets the loss's).
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node")
@@ -123,18 +131,22 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{flag})"
 
 
-@dataclass
+@dataclass(eq=False)
 class TapeNode:
     """One recorded op, owned by the tensor it produced.
 
-    ``bwd`` maps the upstream gradient of that tensor to per-input
-    gradients (None for inputs that need none). Saved forward values live
-    in the closure. ``seq`` is the op's creation index.
+    ``inputs`` has one entry per operand: the operand's own ``TapeNode``
+    when a recorded op produced it, the operand itself when it is a leaf
+    that requires grad, else None. ``bwd`` maps the upstream gradient of
+    the output to per-input gradients (None for inputs that need none);
+    its closure keeps only the forward arrays that rule reads. ``seq`` is
+    the op's creation index. Once ``backward`` has replayed the node,
+    ``inputs`` is empty and ``bwd`` is None.
     """
 
     op: str
     inputs: tuple
-    bwd: Callable[[np.ndarray], tuple]
+    bwd: Optional[Callable[[np.ndarray], tuple]]
     seq: int
 
 
@@ -165,8 +177,16 @@ def _record(op: str, inputs: Sequence[Tensor], out: Tensor, bwd) -> Tensor:
     if _RECORDING and any(t.requires_grad for t in inputs):
         _SEQ += 1
         out.requires_grad = True
-        out.node = TapeNode(op, tuple(inputs), bwd, _SEQ)
+        out.node = TapeNode(op, tuple(map(_link, inputs)), bwd, _SEQ)
     return out
+
+
+def _link(t: Tensor):
+    """What a node keeps of an operand: its unreplayed node, or the
+    operand itself if it is a grad leaf (a replayed output counts as one)."""
+    if t.node is not None and t.node.bwd is not None:
+        return t.node
+    return t if t.requires_grad else None
 
 
 def _as_array(x) -> np.ndarray:
@@ -190,11 +210,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.shape[-1] != bd.shape[-2] or ad.shape[:-2] != bd.shape[:-2]:
         raise ShapeError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
     out = Tensor(np.matmul(ad, bd))
+    # Each gradient reads only the other operand.
+    keep_b = bd if a.requires_grad else None
+    keep_a = ad if b.requires_grad else None
 
     def bwd(g):
-        ga = np.matmul(g, bd.swapaxes(-1, -2)) if a.requires_grad else None
-        gb = np.matmul(ad.swapaxes(-1, -2), g) if b.requires_grad else None
-        return ga, gb
+        return (None if keep_b is None else np.matmul(g, keep_b.swapaxes(-1, -2)),
+                None if keep_a is None else np.matmul(keep_a.swapaxes(-1, -2), g))
 
     return _record("matmul", (a, b), out, bwd)
 
@@ -234,9 +256,11 @@ def elementwise(kind: str, a: Tensor, b=None, out: Optional[Tensor] = None) -> T
             bwd = lambda g: (g, g)
         elif kind == "sub":
             bwd = lambda g: (g, -g)
-        else:
-            bwd = lambda g: (g * bd if a.requires_grad else None,
-                             g * ad if b.requires_grad else None)
+        else:  # as in matmul, each gradient reads only the other operand
+            keep_b = bd if a.requires_grad else None
+            keep_a = ad if b.requires_grad else None
+            bwd = lambda g: (None if keep_b is None else g * keep_b,
+                             None if keep_a is None else g * keep_a)
         return _record(kind, (a, b), res, bwd)
     if kind == "scale":
         c = float(b)
@@ -245,9 +269,9 @@ def elementwise(kind: str, a: Tensor, b=None, out: Optional[Tensor] = None) -> T
     if kind == "relu":
         # Every entry that is not > 0, NaN included, maps to 0 (fmax,
         # unlike maximum, drops a NaN operand); fmax may keep the sign of
-        # a -0.0.
-        res = Tensor(np.fmax(a.data, 0.0, out=buf))
-        return _record("relu", (a,), res, lambda g: (g * (a.data > 0),))
+        # a -0.0. So y > 0 exactly where a > 0, and bwd reads only y.
+        y = np.fmax(a.data, 0.0, out=buf)
+        return _record("relu", (a,), Tensor(y), lambda g: (g * (y > 0),))
     raise ValueError(f"unknown elementwise kind '{kind}'")
 
 
@@ -256,10 +280,10 @@ def add_bias(x: Tensor, b: Tensor, out: Optional[Tensor] = None) -> Tensor:
     if b.ndim != 1 or x.shape[-1] != b.shape[0]:
         raise ShapeError(f"add_bias: bias {b.shape} does not fit rows of {x.shape}")
     res = Tensor(np.add(x.data, b.data, out=_out_buffer(out)))
+    need_b, d = b.requires_grad, b.shape[0]
 
     def bwd(g):
-        gb = g.reshape(-1, b.shape[0]).sum(axis=0) if b.requires_grad else None
-        return g, gb
+        return g, (g.reshape(-1, d).sum(axis=0) if need_b else None)
 
     return _record("add_bias", (x, b), res, bwd)
 
@@ -312,12 +336,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     y *= gain.data
     y += bias.data
     out = Tensor(y)
+    need_x, need_gain, need_bias = x.requires_grad, gain.requires_grad, bias.requires_grad
+    gd = gain.data
 
     def bwd(g):
-        gg = (g * xhat).reshape(-1, d).sum(axis=0) if gain.requires_grad else None
-        gb = g.reshape(-1, d).sum(axis=0) if bias.requires_grad else None
-        if x.requires_grad:
-            dxhat = g * gain.data
+        gg = (g * xhat).reshape(-1, d).sum(axis=0) if need_gain else None
+        gb = g.reshape(-1, d).sum(axis=0) if need_bias else None
+        if need_x:
+            dxhat = g * gd
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
             gx = inv * (dxhat - m1 - xhat * m2)
@@ -367,9 +393,10 @@ def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
     out = Tensor(x.data[idx])
+    shape = x.shape
 
     def bwd(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape)
         full[idx] = g
         return (full,)
 
@@ -382,13 +409,14 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor(x.data.sum())
-    return _record("sum_all", (x,), out, lambda g: (np.broadcast_to(g, x.shape).copy(),))
+    shape = x.shape
+    return _record("sum_all", (x,), out, lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def mean_all(x: Tensor) -> Tensor:
-    n = x.size
+    n, shape = x.size, x.shape
     out = Tensor(x.data.mean())
-    return _record("mean_all", (x,), out, lambda g: (np.broadcast_to(g / n, x.shape).copy(),))
+    return _record("mean_all", (x,), out, lambda g: (np.broadcast_to(g / n, shape).copy(),))
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -398,11 +426,12 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     d = a.data - b.data
     n = d.size
     out = Tensor(np.float64((d * d).mean()))
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bwd(g):
         base = (2.0 / n) * d * g
-        return (base if a.requires_grad else None,
-                -base if b.requires_grad else None)
+        return (base if need_a else None,
+                -base if need_b else None)
 
     return _record("mse", (a, b), out, bwd)
 
@@ -411,59 +440,62 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 # Reverse pass
 # ---------------------------------------------------------------------------
 
-def _graph(loss: Tensor) -> list:
-    """Every recorded tensor reachable from ``loss``, newest op first."""
-    seen = {id(loss)}
-    stack, found = [loss], []
+def _graph(root: TapeNode) -> list:
+    """Every unreplayed node reachable from ``root``, newest op first."""
+    seen = {root}
+    stack, found = [root], []
     while stack:
-        t = stack.pop()
-        found.append(t)
-        for inp in t.node.inputs:
-            if inp.node is not None and id(inp) not in seen:
-                seen.add(id(inp))
+        node = stack.pop()
+        found.append(node)
+        for inp in node.inputs:
+            if type(inp) is TapeNode and inp.bwd is not None and inp not in seen:
+                seen.add(inp)
                 stack.append(inp)
-    found.sort(key=lambda t: t.node.seq, reverse=True)
+    found.sort(key=lambda n: n.seq, reverse=True)
     return found
 
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf.
 
-    The loss must be scalar and the output of a recorded op. Gradients add
-    into existing ``.grad`` buffers, so fan-out and repeated backward
-    calls both accumulate. The replayed nodes are detached before
-    returning.
+    The loss must be scalar and the output of a recorded op that no
+    ``backward`` has replayed yet. Gradients add into existing ``.grad``
+    buffers, so fan-out and repeated backward calls both accumulate.
+    Each node drops its closure and links once replayed, so the saved
+    arrays are freed as the pass goes.
     """
     global _SEQ_CLEARED
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss.node is None:
+    root = loss.node
+    if root is None or root.bwd is None:
         raise ValueError("loss is not on the tape")
 
-    graph = _graph(loss)
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    graph = _graph(root)
+    grads: dict[TapeNode, np.ndarray] = {root: np.ones_like(loss.data)}
     try:
-        for out in graph:
-            g = grads.pop(id(out), None)
+        for node in graph:
+            g = grads.pop(node, None)
+            inputs, bwd = node.inputs, node.bwd
+            node.inputs, node.bwd = (), None
             if g is None:
                 continue
-            node = out.node
-            for inp, gi in zip(node.inputs, node.bwd(g)):
-                if gi is None or not inp.requires_grad:
+            for inp, gi in zip(inputs, bwd(g)):
+                if gi is None or inp is None:
                     continue
-                if inp.node is not None:
-                    key = id(inp)
-                    if key in grads:
-                        grads[key] = grads[key] + gi
+                if type(inp) is TapeNode:
+                    if inp in grads:
+                        grads[inp] = grads[inp] + gi
                     else:
-                        grads[key] = gi
+                        grads[inp] = gi
                 else:
                     if inp.grad is None:
                         inp.grad = np.zeros_like(inp.data)
                     inp.grad += gi.reshape(inp.shape)
     finally:
-        for out in graph:
-            out.node = None
+        for node in graph:
+            node.inputs, node.bwd = (), None
+        loss.node = None
         _SEQ_CLEARED = _SEQ
 
 

@@ -242,14 +242,20 @@ def train_loop(model: TwoChannelTransformer, windows: Sequence[MotionWindow],
     state = init_adam(params)
     drop_rng = np.random.default_rng([config.seed, 1])
     curve = []
+    # Allocated once: a fresh snapshot per epoch would be built while the
+    # previous one is still alive.
+    last_good = {k: np.empty_like(p.data) for k, p in params.items()}
+    for p in params.values():
+        p.grad = np.zeros_like(p.data)
 
     for epoch in range(config.epochs):
-        last_good = {k: p.data.copy() for k, p in params.items()}
+        for k, p in params.items():
+            np.copyto(last_good[k], p.data)
         order = np.random.default_rng([config.seed, 2, epoch]).permutation(len(windows))
         for lo in range(0, len(order), config.batch_size):
             batch = [windows[i] for i in order[lo:lo + config.batch_size]]
             for p in params.values():
-                p.zero_grad()
+                p.grad.fill(0.0)
             batch_loss = 0.0
             for w in batch:
                 out = model_forward(Tensor(w.input), model, training=True,

@@ -234,3 +234,15 @@ def test_forward_op_gives_the_same_bits_on_both_paths(name):
             fast = op(*(Tensor(a.copy(), requires_grad=True) for a in arrays))
     assert fast.node is None and tz.tape_size() == before
     _same_bits(recorded.data, fast.data)
+
+
+def test_relu_gradient_mask_from_output_is_the_input_mask():
+    """relu's rule reads its output: y > 0 is a > 0 bit for bit, for NaN,
+    ±0.0 and ±inf entries and under upstream gradients holding them too."""
+    for g in (np.random.default_rng(47).normal(size=A.shape), B):
+        x = Tensor(A.copy(), requires_grad=True)
+        with np.errstate(invalid="ignore"):
+            y = tz.relu(x)
+            (gx,) = y.node.bwd(g)
+            want = g * (A > 0)
+        _same_bits(gx, want)

@@ -2,6 +2,7 @@
 causality, the zero-velocity identity, parameter accounting, init
 statistics and checkpointing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -610,6 +611,64 @@ def test_stray_forwards_leave_no_graph():
         model_forward(x, model)
     gc.collect()
     assert not any(isinstance(o, tz.TapeNode) for o in gc.get_objects())
+
+
+def _nodes(root):
+    """Every node reachable from ``root``."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for inp in stack.pop().inputs:
+            if isinstance(inp, tz.TapeNode) and id(inp) not in seen:
+                seen[id(inp)] = inp
+                stack.append(inp)
+    return list(seen.values())
+
+
+def test_recorded_graph_links_nodes_and_leaves_only():
+    """A node's inputs are nodes, grad-requiring leaves or None, never an
+    intermediate tensor, whose array would then outlive its readers."""
+    model = init_model(dataclasses.replace(TINY, dropout=0.2), seed=33)
+    x = np.random.default_rng(33).normal(size=(7, 6))
+    out = model_forward(x, model, training=True, rng=np.random.default_rng(0))
+    nodes = _nodes(out.node)
+    leaves = [inp for n in nodes for inp in n.inputs
+              if inp is not None and not isinstance(inp, tz.TapeNode)]
+    assert all(isinstance(t, Tensor) and t.node is None and t.requires_grad for t in leaves)
+    assert {id(t) for t in leaves} == {id(p) for p in named_params(model).values()}
+    assert {"mul", "relu", "layer_norm", "matmul"} <= {n.op for n in nodes}
+
+
+def _traced(fn):
+    """(retained, peak) bytes that ``fn``'s allocations reach, and its result."""
+    import gc
+    import tracemalloc
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return now - base, peak - base, result
+
+
+def test_recorded_default_forward_keeps_only_what_backward_reads():
+    model = init_model(ModelConfig(), seed=34)
+    x = np.random.default_rng(34).normal(size=(model.config.total, model.config.n_params))
+    retained, _, out = _traced(
+        lambda: model_forward(x, model, training=True, rng=np.random.default_rng(1)))
+    assert out.node is not None
+    assert retained < 16e6  # keeping every intermediate retained 32.9 MB
+
+
+def test_save_checkpoint_does_not_copy_the_model(tmp_path):
+    model = init_model(ModelConfig(), seed=35)
+    _, peak, _ = _traced(lambda: save_checkpoint(model, tmp_path / "m.npz"))
+    assert peak < 5e6  # a converted copy of every weight peaked at 21 MB
+    loaded = load_checkpoint(tmp_path / "m.npz")
+    for name, p in named_params(model).items():
+        np.testing.assert_array_equal(named_params(loaded)[name].data, p.data)
 
 
 def test_named_params_is_the_model_store():

@@ -339,6 +339,32 @@ def test_autoregressive_matches_scalar_oracle(n_prefix):
         assert got.tobytes() == want.tobytes()
 
 
+HORIZON_1 = ModelConfig(n_params=6, n_prefix=4, horizon=1, embed_dim=8, n_heads=2,
+                        n_layers=1, dropout=0.0)
+
+
+def test_autoregressive_rejects_a_horizon_shorter_than_a_step():
+    obs = np.ones((6, 6), dtype=bool)
+    obs[2:4, 1] = False              # the first step needs 2 forecast rows
+    mask = OcclusionMask(obs, 0.1)
+    model = _random_model(HORIZON_1, seed=3)
+    with pytest.raises(RecoveryError, match="horizon 1"):
+        recover_autoregressive(np.zeros((6, 6)), mask, model)
+    assert model.forward_count == 0
+
+
+def test_autoregressive_horizon_1_covers_a_last_frame_step():
+    obs = np.ones((6, 6), dtype=bool)
+    obs[5, [0, 4]] = False           # the only step reads 1 forecast row
+    mask = OcclusionMask(obs, 0.1)
+    model = _random_model(HORIZON_1, seed=4)
+    corrupted = apply_mask(np.random.default_rng(4).normal(size=(6, 6)), mask)
+    got = recover_autoregressive(corrupted, mask, model)
+    want = scalar_recover_autoregressive(corrupted, obs, 4,
+                                         lambda hist: predict(model, hist))
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # csv export
 # ---------------------------------------------------------------------------

@@ -306,6 +306,27 @@ def test_train_moves_only_decoders_first_step():
             np.testing.assert_array_equal(before[k], after[k], err_msg=k)
 
 
+def test_default_train_loop_peak_memory():
+    """One recorded window's saved arrays, one epoch snapshot and one set
+    of gradient buffers are live at once, not two of either."""
+    import gc
+    import tracemalloc
+    from motioncast.dataset import DatasetSpec, synth_generate, window_split
+    windows = [w for seq in synth_generate(15, 2, 60, 99)
+               for w in window_split(seq, DatasetSpec(stride=7))][:8]
+    assert len(windows) == 8
+    model = init_model(ModelConfig(), seed=15)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train_loop(model, windows, TrainConfig(epochs=3))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6  # 115.5 MB with intermediates on the tape and two snapshots
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
