@@ -8,6 +8,10 @@ path.
 A training window is the observed N-frame prefix with its last pose
 replicated T' times (so the model only has to learn the deviation of the
 future from the last observed pose), paired with the true future frames.
+``window_split`` cuts each window's ``target`` and ``history`` as
+read-only views of the sequence's frames, not copies: a window keeps its
+sequence's frames alive, and a caller who writes to ``seq.frames``
+afterwards changes its windows too. ``input`` is the window's own array.
 """
 
 from __future__ import annotations
@@ -81,6 +85,9 @@ class MotionWindow:
     window in its source sequence (available when the window does not
     start at the very beginning); recovery strategies that forecast the
     prefix need it. ``action`` labels the source for per-action reporting.
+    Arrays that are already C-contiguous float64 are kept, not copied, so
+    the ``target`` and ``history`` of a window from ``window_split`` are
+    read-only views of its source sequence's frames.
     """
 
     input: np.ndarray
@@ -241,19 +248,23 @@ def window_split(seq: MotionSequence, spec: DatasetSpec) -> list[MotionWindow]:
 
     A sequence shorter than N + T' yields no windows. Windows that start
     at frame N or later also carry the N preceding frames as history.
+    ``target`` and ``history`` are read-only views of ``seq.frames``, so
+    writing through them raises ``ValueError``. ``seq.frames`` stays
+    writable, and writing to it afterwards changes the windows cut from it.
     """
     n, h, stride = spec.n_prefix, spec.horizon, spec.stride
-    frames = seq.frames
     total = n + h
-    if frames.shape[0] < total:
+    if seq.n_frames < total:
         return []
-    count = (frames.shape[0] - total) // stride + 1
+    frames = seq.frames.view()
+    frames.flags.writeable = False
+    count = (seq.n_frames - total) // stride + 1
     windows = []
     for w in range(count):
         start = w * stride
         prefix = frames[start: start + n]
-        target = frames[start + n: start + total].copy()
-        history = frames[start - n: start].copy() if start >= n else None
+        target = frames[start + n: start + total]
+        history = frames[start - n: start] if start >= n else None
         windows.append(MotionWindow(
             input=build_padded_input(prefix, h),
             target=target,

@@ -441,14 +441,21 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _graph(root: TapeNode) -> list:
-    """Every unreplayed node reachable from ``root``, newest op first."""
+    """Every node reachable from ``root``, newest op first.
+
+    Raises ``ValueError`` on reaching a node that an earlier ``backward``
+    replayed: its closure is gone, so the gradient through it would be lost.
+    """
     seen = {root}
     stack, found = [root], []
     while stack:
         node = stack.pop()
         found.append(node)
         for inp in node.inputs:
-            if type(inp) is TapeNode and inp.bwd is not None and inp not in seen:
+            if type(inp) is TapeNode and inp not in seen:
+                if inp.bwd is None:
+                    raise ValueError(f"backward through a replayed {inp.op!r} node: "
+                                     "an earlier backward already freed it")
                 seen.add(inp)
                 stack.append(inp)
     found.sort(key=lambda n: n.seq, reverse=True)
@@ -459,8 +466,10 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf.
 
     The loss must be scalar and the output of a recorded op that no
-    ``backward`` has replayed yet. Gradients add into existing ``.grad``
-    buffers, so fan-out and repeated backward calls both accumulate.
+    ``backward`` has replayed yet, and so must every op it reaches;
+    otherwise ``ValueError`` is raised before any gradient moves.
+    Gradients add into existing ``.grad`` buffers, so fan-out and
+    repeated backward calls over separate graphs both accumulate.
     Each node drops its closure and links once replayed, so the saved
     arrays are freed as the pass goes.
     """

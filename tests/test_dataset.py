@@ -219,6 +219,70 @@ def test_window_replication_invariant_enforced():
                      n_prefix=4, horizon=3)
 
 
+def test_window_target_and_history_are_read_only_views():
+    seq = synth_generate(seed=13, count=1, n_frames=60, n_params=6)[0]
+    windows = window_split(seq, DatasetSpec(n_prefix=4, horizon=3, stride=5))
+    assert any(w.history is not None for w in windows)
+    for w in windows:
+        for arr in (w.target, w.history):
+            if arr is None:
+                continue
+            assert np.shares_memory(arr, seq.frames)
+            assert not arr.flags.writeable
+        assert not np.shares_memory(w.input, seq.frames)
+
+
+def test_writing_through_a_window_raises_and_frames_stay_writable():
+    seq = synth_generate(seed=14, count=1, n_frames=60, n_params=6)[0]
+    w = window_split(seq, DatasetSpec(n_prefix=4, horizon=3, stride=5))[2]
+    with pytest.raises(ValueError):
+        w.target[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        w.history[0, 0] = 1.0
+    assert seq.frames.flags.writeable
+    seq.frames[14, 0] = 7.0                    # window 2 starts at frame 10
+    assert w.target[0, 0] == 7.0
+
+
+def test_window_split_holds_no_copies_of_the_frames():
+    """44 windows of a 250 x 99 sequence hold their padded inputs only."""
+    import gc
+    import tracemalloc
+    seq = synth_generate(seed=1, count=1, n_frames=250, n_params=99)[0]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        windows = window_split(seq, DatasetSpec())
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(windows) == 44
+    assert held < 1.6e6  # 2.45 MB with copied targets and histories
+
+
+def test_train_loop_over_views_matches_copied_windows():
+    from motioncast.model import ModelConfig, init_model, named_params
+    from motioncast.trainer import TrainConfig, train_loop
+    seq = synth_generate(seed=15, count=1, n_frames=60, n_params=6)[0]
+    views = window_split(seq, DatasetSpec(n_prefix=4, horizon=3, stride=5))
+    copies = [MotionWindow(input=w.input.copy(), target=w.target.copy(),
+                           n_prefix=w.n_prefix, horizon=w.horizon,
+                           history=None if w.history is None else w.history.copy(),
+                           action=w.action)
+              for w in views]
+    cfg = ModelConfig(n_params=6, n_prefix=4, horizon=3, embed_dim=8, n_heads=2,
+                      n_layers=1, dropout=0.1)
+    runs = [train_loop(init_model(cfg, seed=3), ws,
+                       TrainConfig(epochs=2, batch_size=5, horizon_weighting=True))
+            for ws in (views, copies)]
+    assert len(runs[0].curve) == 6             # 11 windows: the last batch is short
+    assert runs[0].curve == runs[1].curve
+    a, b = (named_params(r.model) for r in runs)
+    for k in a:
+        np.testing.assert_array_equal(a[k].data, b[k].data, err_msg=k)
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
 # ---------------------------------------------------------------------------

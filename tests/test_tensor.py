@@ -345,6 +345,21 @@ def test_backward_off_tape_scalar_rejected():
         backward(Tensor(np.float64(1.0)))
 
 
+def test_backward_through_a_replayed_node_raises():
+    """A second loss over a node the first backward replayed cannot get its
+    gradient through it, so the call refuses instead of dropping it."""
+    x = t_([1.0])
+    h = tz.mul(x, x)
+    l1 = tz.sum_all(h)
+    l2 = tz.sum_all(tz.scale(h, 2.0))
+    backward(l1)
+    np.testing.assert_array_equal(x.grad, [2.0])
+    with pytest.raises(ValueError, match="replayed"):
+        backward(l2)
+    np.testing.assert_array_equal(x.grad, [2.0])
+    assert l2.node is not None
+
+
 def test_no_tape_context_records_nothing():
     x = t_([1.0, 2.0])
     with no_tape():
