@@ -8,10 +8,11 @@ path.
 A training window is the observed N-frame prefix with its last pose
 replicated T' times (so the model only has to learn the deviation of the
 future from the last observed pose), paired with the true future frames.
-``window_split`` cuts each window's ``target`` and ``history`` as
-read-only views of the sequence's frames, not copies: a window keeps its
-sequence's frames alive, and a caller who writes to ``seq.frames``
-afterwards changes its windows too. ``input`` is the window's own array.
+A window stores only its prefix; the padded ``input`` is built from it
+on each read. ``window_split`` cuts each window's ``prefix``, ``target``
+and ``history`` as read-only views of the sequence's frames, not copies:
+a window keeps its sequence's frames alive, and a caller who writes to
+``seq.frames`` afterwards changes its windows too.
 """
 
 from __future__ import annotations
@@ -76,45 +77,61 @@ class MotionSequence:
         return self.meta.get("action", "")
 
 
-@dataclass
+@dataclass(init=False)
 class MotionWindow:
-    """Padded model input plus the ground-truth future it should predict.
+    """Observed prefix plus the ground-truth future it should predict.
 
-    ``input`` is T x P with T = N + T'; rows N..T-1 all replicate row N-1.
-    ``history`` optionally carries the N clean frames that precede the
-    window in its source sequence (available when the window does not
+    ``prefix`` is the N x P observed frames; ``input`` builds the padded
+    T x P model input from it on each read (T = N + T', rows N..T-1
+    replicate row N-1), a new array the caller owns. The constructor
+    still takes that padded ``input``, checks it and keeps its first N
+    rows. ``history`` optionally carries the N clean frames that precede
+    the window in its source sequence (available when the window does not
     start at the very beginning); recovery strategies that forecast the
     prefix need it. ``action`` labels the source for per-action reporting.
-    Arrays that are already C-contiguous float64 are kept, not copied, so
-    the ``target`` and ``history`` of a window from ``window_split`` are
-    read-only views of its source sequence's frames.
+    A C-contiguous float64 ``target`` is kept, not copied, so the
+    ``prefix``, ``target`` and ``history`` of a window from
+    ``window_split`` are read-only views of its source sequence's frames.
     """
 
-    input: np.ndarray
+    prefix: np.ndarray
     target: np.ndarray
     n_prefix: int
     horizon: int
     history: Optional[np.ndarray] = None
     action: str = ""
 
-    def __post_init__(self):
-        self.input = np.ascontiguousarray(self.input, dtype=np.float64)
-        self.target = np.ascontiguousarray(self.target, dtype=np.float64)
-        n, h = self.n_prefix, self.horizon
-        if self.input.shape != (n + h, self.target.shape[1]):
-            raise ValueError(f"input shape {self.input.shape} does not match N={n}, T'={h}")
+    def __init__(self, input, target, n_prefix: int, horizon: int,
+                 history: Optional[np.ndarray] = None, action: str = ""):
+        input = np.ascontiguousarray(input, dtype=np.float64)
+        self._keep(input[:n_prefix], input.shape, target, n_prefix, horizon, history, action)
+        if horizon > 0 and not (input[n_prefix:] == input[n_prefix - 1]).all():
+            raise ValueError("padded rows do not replicate the last observed pose")
+
+    @classmethod
+    def _from_prefix(cls, prefix, target, horizon, history, action) -> "MotionWindow":
+        """``window_split``'s path: keep ``prefix`` as given; no T x P array."""
+        w = cls.__new__(cls)
+        n = prefix.shape[0]
+        w._keep(prefix, (n + horizon, prefix.shape[1]), target, n, horizon, history, action)
+        return w
+
+    def _keep(self, prefix, input_shape, target, n, h, history, action) -> None:
+        self.prefix, self.n_prefix, self.horizon = prefix, n, h
+        self.target = np.ascontiguousarray(target, dtype=np.float64)
+        self.history, self.action = history, action
+        if input_shape != (n + h, self.target.shape[1]):
+            raise ValueError(f"input shape {input_shape} does not match N={n}, T'={h}")
         if self.target.shape[0] != h:
             raise ValueError(f"target has {self.target.shape[0]} rows, expected T'={h}")
-        if h > 0 and not (self.input[n:] == self.input[n - 1]).all():
-            raise ValueError("padded rows do not replicate the last observed pose")
 
     @property
     def total(self) -> int:
         return self.n_prefix + self.horizon
 
     @property
-    def prefix(self) -> np.ndarray:
-        return self.input[: self.n_prefix]
+    def input(self) -> np.ndarray:
+        return build_padded_input(self.prefix, self.horizon)
 
 
 @dataclass
@@ -248,9 +265,10 @@ def window_split(seq: MotionSequence, spec: DatasetSpec) -> list[MotionWindow]:
 
     A sequence shorter than N + T' yields no windows. Windows that start
     at frame N or later also carry the N preceding frames as history.
-    ``target`` and ``history`` are read-only views of ``seq.frames``, so
-    writing through them raises ``ValueError``. ``seq.frames`` stays
-    writable, and writing to it afterwards changes the windows cut from it.
+    ``prefix``, ``target`` and ``history`` are read-only views of
+    ``seq.frames``, so writing through them raises ``ValueError``; no
+    window holds a padded T x P copy. ``seq.frames`` stays writable, and
+    writing to it afterwards changes the windows cut from it.
     """
     n, h, stride = spec.n_prefix, spec.horizon, spec.stride
     total = n + h
@@ -262,17 +280,10 @@ def window_split(seq: MotionSequence, spec: DatasetSpec) -> list[MotionWindow]:
     windows = []
     for w in range(count):
         start = w * stride
-        prefix = frames[start: start + n]
-        target = frames[start + n: start + total]
         history = frames[start - n: start] if start >= n else None
-        windows.append(MotionWindow(
-            input=build_padded_input(prefix, h),
-            target=target,
-            n_prefix=n,
-            horizon=h,
-            history=history,
-            action=seq.action,
-        ))
+        windows.append(MotionWindow._from_prefix(
+            frames[start: start + n], frames[start + n: start + total], h,
+            history, seq.action))
     return windows
 
 

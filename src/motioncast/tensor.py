@@ -13,8 +13,9 @@ Design notes:
   ``reshape`` and ``narrow`` outputs stay views of their input.
 * Differentiation is define-by-run: every op executed while recording
   attaches a ``TapeNode`` to the tensor it produces. A node links to its
-  operands' nodes, or to the operands themselves only when they are
-  leaves that require grad, never to an intermediate tensor. So a graph
+  operands' nodes (replayed ones too, which ``backward`` then refuses),
+  or to the operands themselves only when they are leaves that require
+  grad, never to an intermediate tensor. So a graph
   lives exactly as long as the tensors that own it, and the forward
   arrays it holds are only those that some backward rule reads: each
   op's ``bwd`` closure keeps, decided at record time, just the arrays its
@@ -182,9 +183,10 @@ def _record(op: str, inputs: Sequence[Tensor], out: Tensor, bwd) -> Tensor:
 
 
 def _link(t: Tensor):
-    """What a node keeps of an operand: its unreplayed node, or the
-    operand itself if it is a grad leaf (a replayed output counts as one)."""
-    if t.node is not None and t.node.bwd is not None:
+    """What a node keeps of an operand: its node, even a replayed one (so
+    ``backward`` refuses to pass through it), or the operand itself if
+    it is a grad leaf."""
+    if t.node is not None:
         return t.node
     return t if t.requires_grad else None
 

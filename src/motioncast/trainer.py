@@ -178,10 +178,12 @@ def clip_gradients(params: dict, max_norm: float) -> float:
 
     Returns the pre-clip norm.
     """
+    buf = np.empty(max((p.data.size for p in params.values()), default=0))
     sq = 0.0
     for p in params.values():
         if p.grad is not None:
-            sq += float(np.sum(p.grad * p.grad))
+            g = p.grad
+            sq += float(np.sum(np.multiply(g, g, out=buf[:g.size].reshape(g.shape))))
     norm = math.sqrt(sq)
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm
@@ -192,22 +194,36 @@ def clip_gradients(params: dict, max_norm: float) -> float:
 
 
 def adam_step(params: dict, state: AdamState, config: TrainConfig) -> None:
-    """One bias-corrected adaptive-moment update, in place."""
+    """One bias-corrected adaptive-moment update, in place.
+
+    The temporaries go through two scratch buffers, in the same order of
+    operations as ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``."""
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
+    size = max((p.data.size for p in params.values()), default=0)
+    buf_s, buf_t = np.empty(size), np.empty(size)
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros(p.shape)
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"non-finite gradient in '{name}'")
         m = state.m[name]
         v = state.v[name]
+        s, t = (buf[:g.size].reshape(g.shape) for buf in (buf_s, buf_t))
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=s)
         v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+        np.multiply(g, 1.0 - b2, out=s)
+        s *= g
+        v += s
+        np.divide(m, bc1, out=t)
+        t *= config.lr
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += config.eps
+        t /= s
+        p.data -= t
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +371,7 @@ def occlusion_eval(model: TwoChannelTransformer,
 
     def corrupted_prefix(i, w):
         wspec = dataclasses.replace(spec, seed=_window_seed(spec, i))
-        mask = generate_mask(wspec, w.n_prefix, w.input.shape[1])
+        mask = generate_mask(wspec, w.n_prefix, w.target.shape[1])
         corrupted = apply_mask(w.prefix, mask)
         if strategy == "interp":
             recon = recover_linear_interp(corrupted, mask)

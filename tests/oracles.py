@@ -2,7 +2,9 @@
 
 Everything here is written with explicit Python loops and math.* calls,
 no vectorization and no imports from the package's numeric paths, so a
-bug in the fast implementation cannot hide in its own oracle.
+bug in the fast implementation cannot hide in its own oracle. The
+optimizer references at the end are the exception: they keep the plain
+numpy expressions the in-place optimizer step must match bit for bit.
 """
 
 import math
@@ -235,3 +237,37 @@ def scalar_recover_autoregressive(corrupted, observed, n_prefix, forecast):
                 if occluded[t][p]:
                     recon[t][p] = float(future[t - pos][p])
     return np.array(recon)
+
+
+def reference_clip_gradients(params, max_norm):
+    """Global-norm clip with a fresh array per square (the reference for
+    ``clip_gradients``); ``params`` maps names to objects with ``grad``."""
+    sq = 0.0
+    for p in params.values():
+        if p.grad is not None:
+            sq += float(np.sum(p.grad * p.grad))
+    norm = math.sqrt(sq)
+    if norm > max_norm and norm > 0.0:
+        factor = max_norm / norm
+        for p in params.values():
+            if p.grad is not None:
+                p.grad *= factor
+    return norm
+
+
+def reference_adam_step(params, m, v, t, lr, b1, b2, eps):
+    """One bias-corrected adaptive-moment update at step ``t`` (1-based),
+    written as whole-array expressions (the reference for ``adam_step``).
+    Raises ValueError naming the first parameter with a non-finite
+    gradient, after updating the ones before it."""
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros(p.data.shape)
+        if not np.all(np.isfinite(g)):
+            raise ValueError(name)
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        p.data -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)

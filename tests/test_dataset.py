@@ -283,6 +283,92 @@ def test_train_loop_over_views_matches_copied_windows():
         np.testing.assert_array_equal(a[k].data, b[k].data, err_msg=k)
 
 
+def test_window_prefix_is_a_read_only_view_too():
+    seq = synth_generate(seed=16, count=1, n_frames=60, n_params=6)[0]
+    windows = window_split(seq, DatasetSpec(n_prefix=4, horizon=3, stride=5))
+    for k, w in enumerate(windows):
+        start = k * 5
+        for arr, lo in ((w.prefix, start), (w.target, start + 4), (w.history, start - 4)):
+            if arr is None:
+                continue
+            assert np.shares_memory(arr, seq.frames)
+            assert not arr.flags.writeable
+            np.testing.assert_array_equal(arr, seq.frames[lo:lo + len(arr)])
+        with pytest.raises(ValueError):
+            w.prefix[0, 0] = 1.0
+
+
+def test_window_input_is_built_fresh_on_each_read():
+    seq = synth_generate(seed=17, count=1, n_frames=60, n_params=6)[0]
+    w = window_split(seq, DatasetSpec(n_prefix=4, horizon=3, stride=5))[3]
+    a, b = w.input, w.input
+    np.testing.assert_array_equal(a, build_padded_input(w.prefix, 3))
+    assert a is not b and not np.shares_memory(a, b)
+    assert a.flags.writeable and not np.shares_memory(a, seq.frames)
+    before = (w.prefix.copy(), w.target.copy())
+    a[:] = 9.0
+    np.testing.assert_array_equal(w.prefix, before[0])
+    np.testing.assert_array_equal(w.target, before[1])
+    np.testing.assert_array_equal(w.input, b)
+
+
+def test_window_split_builds_no_padded_inputs():
+    """44 windows of a 250 x 99 sequence hold views only, not T x P inputs."""
+    import gc
+    import tracemalloc
+    seq = synth_generate(seed=1, count=1, n_frames=250, n_params=99)[0]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        windows = window_split(seq, DatasetSpec())
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(windows) == 44
+    assert held < 0.1e6  # 1.25 MB with one padded input per window
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(input=np.zeros((6, 3)), target=np.zeros((3, 3))), "input shape"),
+    (dict(input=np.zeros((7, 3)), target=np.zeros((3, 4))), "input shape"),
+    (dict(input=np.zeros((7, 3)), target=np.zeros((4, 3))), "target has 4 rows"),
+    (dict(input=np.arange(21.0).reshape(7, 3), target=np.zeros((3, 3))), "replicate"),
+])
+def test_constructed_window_checks_its_input(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        MotionWindow(**{"n_prefix": 4, "horizon": 3, **kwargs})
+
+
+def test_constructed_window_keeps_the_prefix_of_its_input():
+    padded = build_padded_input(np.arange(12.0).reshape(4, 3), 3)
+    w = MotionWindow(input=padded, target=np.ones((3, 3)), n_prefix=4, horizon=3)
+    np.testing.assert_array_equal(w.prefix, padded[:4])
+    np.testing.assert_array_equal(w.input, padded)
+    assert w.total == 7
+
+
+def test_eval_reports_over_views_match_copied_windows():
+    from motioncast.model import ModelConfig, init_model
+    from motioncast.occlusion import OcclusionSpec
+    from motioncast.trainer import evaluate_mse_horizons, occlusion_eval
+    seq = synth_generate(seed=18, count=1, n_frames=60, n_params=6)[0]
+    views = window_split(seq, DatasetSpec(n_prefix=8, horizon=8, stride=6))[2:]
+    copies = [MotionWindow(input=w.input, target=w.target.copy(),
+                           n_prefix=w.n_prefix, horizon=w.horizon,
+                           history=w.history.copy(), action=w.action)
+              for w in views]
+    model = init_model(ModelConfig(n_params=6, n_prefix=8, horizon=8, embed_dim=8,
+                                   n_heads=2, n_layers=1), seed=4)
+    horizons = (80, 160)
+    spec = OcclusionSpec(kind="time_consistent", ratio=0.2, seed=2)
+    reports = [[evaluate_mse_horizons(model, ws, horizons_ms=horizons)]
+               + [occlusion_eval(model, ws, spec, s, horizons_ms=horizons)
+                  for s in ("interp", "short_term", "autoregressive")]
+               for ws in (views, copies)]
+    assert reports[0] == reports[1]
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
 # ---------------------------------------------------------------------------

@@ -360,6 +360,20 @@ def test_backward_through_a_replayed_node_raises():
     assert l2.node is not None
 
 
+def test_an_op_recorded_on_a_replayed_output_refuses_backward():
+    """``h`` keeps its replayed node, so a later op links to that node, not to
+    ``h`` as a leaf: backward raises instead of dropping x's share into h.grad."""
+    x = t_([1.0])
+    h = tz.mul(x, x)
+    backward(tz.sum_all(h))
+    l2 = tz.sum_all(tz.scale(h, 2.0))
+    with pytest.raises(ValueError, match="replayed"):
+        backward(l2)
+    np.testing.assert_array_equal(x.grad, [2.0])
+    assert h.grad is None
+    backward(tz.sum_all(t_([1.0])))   # clears tape_size() for the tests after this one
+
+
 def test_no_tape_context_records_nothing():
     x = t_([1.0, 2.0])
     with no_tape():

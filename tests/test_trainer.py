@@ -25,6 +25,7 @@ from motioncast.trainer import (HORIZONS_MS, AdamState, LatencyStats,
                                 horizon_weights, init_adam, latency_json, loss_fn,
                                 occlusion_eval, train_loop, write_eval_report,
                                 write_loss_curve)
+from oracles import reference_adam_step, reference_clip_gradients
 
 TINY = ModelConfig(n_params=6, n_prefix=4, horizon=3, embed_dim=8, n_heads=2,
                    n_layers=1, dropout=0.0)
@@ -185,6 +186,69 @@ def test_clip_scales_to_threshold():
     assert abs(norm - 5.0) < 1e-12
     np.testing.assert_allclose(params["w"].grad, [0.6, 0.8], atol=1e-15)
     assert abs(math.hypot(*params["w"].grad) - 1.0) < 1e-12
+
+
+def _grad_cases(rng, shapes):
+    """Gradient sets for the optimizer bit-equality test, one per step."""
+    def spread(shape):
+        mag = 10.0 ** rng.uniform(-300, 150, size=shape)
+        return mag * rng.choice([-1.0, 1.0], size=shape)
+    return [
+        [np.zeros(s) for s in shapes],
+        [np.full(s, -0.0) for s in shapes],
+        [spread(s) for s in shapes],                        # clipped at norm 1
+        [1e-3 * rng.normal(size=s) for s in shapes],        # unclipped
+        [np.where(rng.random(s) < 0.5, -0.0, spread(s)) for s in shapes],
+        [np.full(s, 1e-300) for s in shapes],
+    ]
+
+
+@pytest.mark.parametrize("max_norm", [1.0, 1e300])
+def test_in_place_optimizer_matches_reference_bit_for_bit(max_norm):
+    rng = np.random.default_rng(31)
+    shapes = [(3,), (4, 5), (2, 2, 2), (1,)]
+    init = [rng.normal(size=s) for s in shapes]
+    sides = [{f"p{i}": Tensor(a.copy(), requires_grad=True) for i, a in enumerate(init)}
+             for _ in range(2)]
+    lib, ref = sides
+    cfg = TrainConfig(lr=1e-2, beta1=0.8, beta2=0.99, eps=1e-8)
+    state = init_adam(lib)
+    m = {k: np.zeros(p.shape) for k, p in ref.items()}
+    v = {k: np.zeros(p.shape) for k, p in ref.items()}
+    for step, grads in enumerate(_grad_cases(rng, shapes) * 2, start=1):
+        for params in sides:
+            for (k, p), g in zip(params.items(), grads):
+                p.grad = None if k == "p3" and step % 3 == 0 else g.copy()
+        assert (clip_gradients(lib, max_norm).hex()
+                == reference_clip_gradients(ref, max_norm).hex())
+        adam_step(lib, state, cfg)
+        reference_adam_step(ref, m, v, step, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+        for k in lib:
+            for a, b in ((lib[k].data, ref[k].data), (state.m[k], m[k]), (state.v[k], v[k])):
+                assert a.tobytes() == b.tobytes(), (step, k)
+            if lib[k].grad is not None:
+                assert lib[k].grad.tobytes() == ref[k].grad.tobytes()
+    assert state.t == 12
+    assert any(np.any(np.signbit(p.data)) for p in lib.values())
+
+
+def test_in_place_adam_checks_each_parameter_before_its_update():
+    sides = [{"a": Tensor(np.ones(4), requires_grad=True),
+              "b": Tensor(np.ones(2), requires_grad=True)} for _ in range(2)]
+    for params in sides:
+        params["a"].grad = np.full(4, 0.5)
+        params["b"].grad = np.array([1.0, np.inf])
+    lib, ref = sides
+    with pytest.raises(NonFiniteGradient, match="'b'"):
+        adam_step(lib, init_adam(lib), TrainConfig())
+    with pytest.raises(ValueError, match="b"):
+        reference_adam_step(ref, {k: np.zeros(p.shape) for k, p in ref.items()},
+                            {k: np.zeros(p.shape) for k, p in ref.items()},
+                            1, 1e-3, 0.9, 0.999, 1e-8)
+    for k in lib:
+        assert lib[k].data.tobytes() == ref[k].data.tobytes()
+    assert not np.array_equal(lib["a"].data, np.ones(4))
+    np.testing.assert_array_equal(lib["b"].data, np.ones(2))
 
 
 def test_train_config_validation():
