@@ -7,10 +7,11 @@ reductions), each with a hand-written backward rule.
 
 Design notes:
 
-* Storage is a float64 numpy array. While recording it is C-contiguous,
-  so ``data`` is the flat row-major buffer the shape indexes into. Under
-  ``no_tape`` a tensor keeps the array it was given: ``transpose``,
-  ``reshape`` and ``narrow`` outputs stay views of their input.
+* Storage is a float64 numpy array, and a tensor keeps the array it is
+  given, contiguous or not: ``transpose``, ``reshape`` and ``narrow``
+  outputs are views of their input on both paths. So recording and
+  ``no_tape`` hand every op the same operand layouts, and the recorded
+  forward computes the same bits as the unrecorded one.
 * Differentiation is define-by-run: every op executed while recording
   attaches a ``TapeNode`` to the tensor it produces. A node links to its
   operands' nodes (replayed ones too, which ``backward`` then refuses),
@@ -93,8 +94,9 @@ class FullyMaskedRowError(ValueError):
 class Tensor:
     """A dense float64 array plus an optional gradient slot.
 
-    ``requires_grad`` marks a leaf whose gradient should be accumulated by
-    ``backward``. Tensors produced by ops inherit graph membership
+    ``data`` is the array given, view or not (copied only when it is not a
+    float64 array). ``requires_grad`` marks a leaf whose gradient ``backward``
+    accumulates. Tensors produced by ops inherit graph membership
     automatically; their gradients are transient and never stored.
     ``node`` is the recorded op that produced the tensor; ``backward``
     empties it when it replays it (and unsets the loss's).
@@ -103,11 +105,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        # ascontiguousarray would promote 0-d scalars to 1-d
-        if _RECORDING and arr.ndim:
-            arr = np.ascontiguousarray(arr)
-        self.data: np.ndarray = arr
+        self.data: np.ndarray = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.node: Optional[TapeNode] = None
@@ -153,11 +151,11 @@ class TapeNode:
 
 _RECORDING = True
 _SEQ = 0           # ops recorded so far
-_SEQ_CLEARED = 0   # _SEQ when the last backward finished
+_SEQ_CLEARED = 0   # _SEQ when backward was last called
 
 
 def tape_size() -> int:
-    """Ops recorded since the last ``backward``."""
+    """Ops recorded since the last ``backward`` call, refused or not."""
     return _SEQ - _SEQ_CLEARED
 
 
@@ -333,9 +331,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    # bwd keeps xhat; under no_tape nothing does, so y may overwrite it.
-    y = xhat.copy() if _RECORDING else xhat
-    y *= gain.data
+    y = xhat * gain.data  # a new array: bwd keeps xhat
     y += bias.data
     out = Tensor(y)
     need_x, need_gain, need_bias = x.requires_grad, gain.requires_grad, bias.requires_grad
@@ -360,7 +356,7 @@ def transpose(x: Tensor, axes: Optional[tuple] = None) -> Tensor:
     perm = tuple(axes) if axes is not None else tuple(reversed(range(x.ndim)))
     out = Tensor(np.transpose(x.data, perm))
     return _record("transpose", (x,), out,
-                   lambda g: (np.ascontiguousarray(np.transpose(g, np.argsort(perm))),))
+                   lambda g: (np.transpose(g, np.argsort(perm)),))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -379,11 +375,7 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     sizes = [p.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
-
-    return _record("concat", tuple(parts), out, bwd)
+    return _record("concat", tuple(parts), out, lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
 def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -476,6 +468,7 @@ def backward(loss: Tensor) -> None:
     arrays are freed as the pass goes.
     """
     global _SEQ_CLEARED
+    _SEQ_CLEARED = _SEQ  # nothing records during the pass, so clear it now
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     root = loss.node
@@ -507,7 +500,6 @@ def backward(loss: Tensor) -> None:
         for node in graph:
             node.inputs, node.bwd = (), None
         loss.node = None
-        _SEQ_CLEARED = _SEQ
 
 
 # ---------------------------------------------------------------------------
@@ -561,17 +553,18 @@ def grad_check(f, x: Tensor, step: float = 1e-5, tol: float = 1e-4,
     else:
         indices = np.arange(n)
 
-    flat = x.data.reshape(-1)
+    data = x.data  # perturbed in place, even when it is a strided view
     numeric = np.empty(len(indices))
     nonfinite = []
     with no_tape():
         for j, i in enumerate(indices):
-            orig = flat[i]
-            flat[i] = orig + step
+            at = np.unravel_index(i, x.shape)
+            orig = data[at]
+            data[at] = orig + step
             hi = float(f(x).data)
-            flat[i] = orig - step
+            data[at] = orig - step
             lo = float(f(x).data)
-            flat[i] = orig
+            data[at] = orig
             numeric[j] = (hi - lo) / (2.0 * step)
             if not (np.isfinite(hi) and np.isfinite(lo)):
                 nonfinite.append(int(i))

@@ -374,6 +374,21 @@ def test_an_op_recorded_on_a_replayed_output_refuses_backward():
     backward(tz.sum_all(t_([1.0])))   # clears tape_size() for the tests after this one
 
 
+def test_a_refused_backward_clears_tape_size():
+    """A refused call resets the count as a successful one does, and still
+    moves no gradient and leaves the loss's node set."""
+    x = t_([1.0])
+    h = tz.mul(x, x)
+    backward(tz.sum_all(h))
+    l2 = tz.sum_all(tz.scale(h, 2.0))
+    assert tz.tape_size() == 2
+    with pytest.raises(ValueError, match="replayed"):
+        backward(l2)
+    assert tz.tape_size() == 0
+    np.testing.assert_array_equal(x.grad, [2.0])
+    assert l2.node is not None
+
+
 def test_no_tape_context_records_nothing():
     x = t_([1.0, 2.0])
     with no_tape():
@@ -408,6 +423,20 @@ def test_grad_check_masked_softmax():
         return tz.sum_all(tz.mul(tz.softmax_masked(x, mask), w))
 
     assert grad_check(f, t_(np.random.default_rng(19).normal(size=(3, 3)))).passed
+
+
+def test_grad_check_perturbs_a_strided_leaf_in_place():
+    """A leaf over a transposed array keeps that view, so grad_check must
+    perturb it where it lies, and put every value back."""
+    rng = np.random.default_rng(21)
+    base = rng.normal(size=(3, 4))
+    before = base.copy()
+    x = t_(base.T)
+    assert np.shares_memory(x.data, base) and not x.data.flags.c_contiguous
+    w = t_(rng.normal(size=(4, 3)), grad=False)
+    rep = grad_check(lambda x: tz.sum_all(tz.mul(tz.mul(x, x), w)), x)
+    assert rep.passed
+    np.testing.assert_array_equal(base, before)
 
 
 def test_grad_check_step_validation():
