@@ -117,6 +117,8 @@ class MotionWindow:
         return w
 
     def _keep(self, prefix, input_shape, target, n, h, history, action) -> None:
+        if n < 1:
+            raise ValueError("n_prefix must be >= 1")
         self.prefix, self.n_prefix, self.horizon = prefix, n, h
         self.target = np.ascontiguousarray(target, dtype=np.float64)
         self.history, self.action = history, action
@@ -254,8 +256,6 @@ def build_padded_input(prefix, horizon: int) -> np.ndarray:
     prefix = np.asarray(prefix, dtype=np.float64)
     if prefix.ndim != 2 or prefix.shape[0] < 1:
         raise ValueError(f"prefix must be N x P with N >= 1, got {prefix.shape}")
-    if horizon == 0:
-        return prefix.copy()
     pad = np.repeat(prefix[-1:], horizon, axis=0)
     return np.vstack([prefix, pad])
 

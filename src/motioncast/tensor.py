@@ -39,17 +39,33 @@ Design notes:
   ones (``add_bias``, ``layer_norm`` gain/bias) and scalar ``scale``.
 * Masks are additive with a large negative sentinel instead of -inf, so
   exp() underflows to an exact 0.0 without ever producing NaN.
+* Heap policy: on glibc, importing this module sets ``M_TOP_PAD`` to
+  64 MB (``mallopt``), so up to 64 MB of freed heap top stays mapped. A
+  default-model training window takes about 40 minor faults, not the
+  6,000 it takes when glibc trims what the previous window freed.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import ctypes
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 MASK_SENTINEL = -1e9
+
+
+def _pad_heap_top() -> None:
+    """The heap policy above; a no-op where the libc is not glibc."""
+    with suppress(ValueError, OSError, AttributeError):
+        if os.confstr("CS_GNU_LIBC_VERSION"):
+            ctypes.CDLL(None).mallopt(-2, 64 << 20)  # M_TOP_PAD
+
+
+_pad_heap_top()
 
 __all__ = [
     "MASK_SENTINEL",

@@ -178,12 +178,10 @@ def clip_gradients(params: dict, max_norm: float) -> float:
 
     Returns the pre-clip norm.
     """
-    buf = np.empty(max((p.data.size for p in params.values()), default=0))
     sq = 0.0
     for p in params.values():
         if p.grad is not None:
-            g = p.grad
-            sq += float(np.sum(np.multiply(g, g, out=buf[:g.size].reshape(g.shape))))
+            sq += float(np.sum(p.grad * p.grad))
     norm = math.sqrt(sq)
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm
@@ -194,36 +192,23 @@ def clip_gradients(params: dict, max_norm: float) -> float:
 
 
 def adam_step(params: dict, state: AdamState, config: TrainConfig) -> None:
-    """One bias-corrected adaptive-moment update, in place.
-
-    The temporaries go through two scratch buffers, in the same order of
-    operations as ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``."""
+    """One bias-corrected adaptive-moment update, in place: Kingma & Ba,
+    "Adam: A Method for Stochastic Optimization" (ICLR 2015), written as
+    whole-array expressions, as ``reference_adam_step`` in the tests."""
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    size = max((p.data.size for p in params.values()), default=0)
-    buf_s, buf_t = np.empty(size), np.empty(size)
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros(p.shape)
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"non-finite gradient in '{name}'")
-        m = state.m[name]
-        v = state.v[name]
-        s, t = (buf[:g.size].reshape(g.shape) for buf in (buf_s, buf_t))
+        m, v = state.m[name], state.v[name]
         m *= b1
-        m += np.multiply(g, 1.0 - b1, out=s)
+        m += (1.0 - b1) * g
         v *= b2
-        np.multiply(g, 1.0 - b2, out=s)
-        s *= g
-        v += s
-        np.divide(m, bc1, out=t)
-        t *= config.lr
-        np.divide(v, bc2, out=s)
-        np.sqrt(s, out=s)
-        s += config.eps
-        t /= s
-        p.data -= t
+        v += (1.0 - b2) * g * g
+        p.data -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +246,6 @@ def train_loop(model: TwoChannelTransformer, windows: Sequence[MotionWindow],
     # Allocated once: a fresh snapshot per epoch would be built while the
     # previous one is still alive.
     last_good = {k: np.empty_like(p.data) for k, p in params.items()}
-    for p in params.values():
-        p.grad = np.zeros_like(p.data)
 
     for epoch in range(config.epochs):
         for k, p in params.items():
@@ -271,7 +254,7 @@ def train_loop(model: TwoChannelTransformer, windows: Sequence[MotionWindow],
         for lo in range(0, len(order), config.batch_size):
             batch = [windows[i] for i in order[lo:lo + config.batch_size]]
             for p in params.values():
-                p.grad.fill(0.0)
+                p.zero_grad()
             batch_loss = 0.0
             for w in batch:
                 out = model_forward(Tensor(w.input), model, training=True,

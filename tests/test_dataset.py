@@ -334,6 +334,7 @@ def test_window_split_builds_no_padded_inputs():
     (dict(input=np.zeros((7, 3)), target=np.zeros((3, 4))), "input shape"),
     (dict(input=np.zeros((7, 3)), target=np.zeros((4, 3))), "target has 4 rows"),
     (dict(input=np.arange(21.0).reshape(7, 3), target=np.zeros((3, 3))), "replicate"),
+    (dict(input=np.zeros((3, 3)), target=np.zeros((3, 3)), n_prefix=0), "n_prefix must be >= 1"),
 ])
 def test_constructed_window_checks_its_input(kwargs, message):
     with pytest.raises(ValueError, match=message):
