@@ -262,15 +262,17 @@ def cmd_eval(config: dict, outdir: str) -> int:
     translation = _split_ints(config["eval.translation"], "eval.translation")
     if config["occlusion.enabled"]:
         spec = _section(OcclusionSpec, config, "occlusion", seed=config["seed"])
-        report = occlusion_eval(model, windows, spec,
-                                strategy=config["occlusion.strategy"],
+        strategy = config["occlusion.strategy"]
+        # A window that starts before frame N has no clean window before it.
+        scored = [w for w in windows if strategy != "short_term" or w.history is not None]
+        report = occlusion_eval(model, scored, spec, strategy=strategy,
                                 exclude=exclude, translation=translation)
     else:
         report = evaluate_mse_horizons(model, windows, exclude=exclude,
                                        translation=translation)
     out_path = os.path.join(outdir, "eval_report.json")
     write_eval_report(report, out_path)
-    print(f"evaluated {report.n_windows} window(s); report at {out_path}")
+    print(f"evaluated {report.n_windows} of {len(windows)} window(s); report at {out_path}")
     for ms in report.horizons_ms:
         print(f"  {ms:>5} ms: {report.overall[ms]:.6g}")
     return 0

@@ -8,11 +8,12 @@ path.
 A training window is the observed N-frame prefix with its last pose
 replicated T' times (so the model only has to learn the deviation of the
 future from the last observed pose), paired with the true future frames.
-A window stores only its prefix; the padded ``input`` is built from it
-on each read. ``window_split`` cuts each window's ``prefix``, ``target``
-and ``history`` as read-only views of the sequence's frames, not copies:
-a window keeps its sequence's frames alive, and a caller who writes to
-``seq.frames`` afterwards changes its windows too.
+``MotionWindow(prefix, target, history, action)`` stores the N x P prefix
+and the T' x P target, so N and T' are their row counts; the padded
+``input`` is built from the prefix on each read. ``window_split`` cuts
+each window's arrays as read-only views of the sequence's frames, not
+copies: a window keeps its sequence's frames alive, and a caller who
+writes to ``seq.frames`` afterwards changes its windows too.
 """
 
 from __future__ import annotations
@@ -77,55 +78,41 @@ class MotionSequence:
         return self.meta.get("action", "")
 
 
-@dataclass(init=False)
+@dataclass
 class MotionWindow:
     """Observed prefix plus the ground-truth future it should predict.
 
-    ``prefix`` is the N x P observed frames; ``input`` builds the padded
-    T x P model input from it on each read (T = N + T', rows N..T-1
-    replicate row N-1), a new array the caller owns. The constructor
-    still takes that padded ``input``, checks it and keeps its first N
-    rows. ``history`` optionally carries the N clean frames that precede
-    the window in its source sequence (available when the window does not
-    start at the very beginning); recovery strategies that forecast the
-    prefix need it. ``action`` labels the source for per-action reporting.
-    A C-contiguous float64 ``target`` is kept, not copied, so the
-    ``prefix``, ``target`` and ``history`` of a window from
-    ``window_split`` are read-only views of its source sequence's frames.
+    ``prefix`` is the N x P observed frames and ``target`` the T' x P
+    frames that follow; N and T' are their row counts. ``input`` builds
+    the padded T x P model input on each read (T = N + T', rows N..T-1
+    replicate row N-1), a new array the caller owns. ``history``
+    optionally carries the N clean frames that precede the window in its
+    source sequence; recovery strategies that forecast the prefix need
+    it. ``action`` labels the source for per-action reporting.
+    C-contiguous float64 arrays are kept as given, not copied.
     """
 
     prefix: np.ndarray
     target: np.ndarray
-    n_prefix: int
-    horizon: int
     history: Optional[np.ndarray] = None
     action: str = ""
 
-    def __init__(self, input, target, n_prefix: int, horizon: int,
-                 history: Optional[np.ndarray] = None, action: str = ""):
-        input = np.ascontiguousarray(input, dtype=np.float64)
-        self._keep(input[:n_prefix], input.shape, target, n_prefix, horizon, history, action)
-        if horizon > 0 and not (input[n_prefix:] == input[n_prefix - 1]).all():
-            raise ValueError("padded rows do not replicate the last observed pose")
+    def __post_init__(self):
+        self.prefix = np.ascontiguousarray(self.prefix, dtype=np.float64)
+        self.target = np.ascontiguousarray(self.target, dtype=np.float64)
+        if self.prefix.ndim != 2 or self.prefix.shape[0] < 1:
+            raise ValueError(f"prefix must be N x P with N >= 1, got {self.prefix.shape}")
+        if self.target.ndim != 2 or self.target.shape[1] != self.prefix.shape[1]:
+            raise ValueError(
+                f"target must be T' x {self.prefix.shape[1]}, got {self.target.shape}")
 
-    @classmethod
-    def _from_prefix(cls, prefix, target, horizon, history, action) -> "MotionWindow":
-        """``window_split``'s path: keep ``prefix`` as given; no T x P array."""
-        w = cls.__new__(cls)
-        n = prefix.shape[0]
-        w._keep(prefix, (n + horizon, prefix.shape[1]), target, n, horizon, history, action)
-        return w
+    @property
+    def n_prefix(self) -> int:
+        return self.prefix.shape[0]
 
-    def _keep(self, prefix, input_shape, target, n, h, history, action) -> None:
-        if n < 1:
-            raise ValueError("n_prefix must be >= 1")
-        self.prefix, self.n_prefix, self.horizon = prefix, n, h
-        self.target = np.ascontiguousarray(target, dtype=np.float64)
-        self.history, self.action = history, action
-        if input_shape != (n + h, self.target.shape[1]):
-            raise ValueError(f"input shape {input_shape} does not match N={n}, T'={h}")
-        if self.target.shape[0] != h:
-            raise ValueError(f"target has {self.target.shape[0]} rows, expected T'={h}")
+    @property
+    def horizon(self) -> int:
+        return self.target.shape[0]
 
     @property
     def total(self) -> int:
@@ -281,9 +268,8 @@ def window_split(seq: MotionSequence, spec: DatasetSpec) -> list[MotionWindow]:
     for w in range(count):
         start = w * stride
         history = frames[start - n: start] if start >= n else None
-        windows.append(MotionWindow._from_prefix(
-            frames[start: start + n], frames[start + n: start + total], h,
-            history, seq.action))
+        windows.append(MotionWindow(frames[start: start + n],
+                                    frames[start + n: start + total], history, seq.action))
     return windows
 
 

@@ -342,14 +342,20 @@ def occlusion_eval(model: TwoChannelTransformer,
     """Corrupt each prefix, recover it, then forecast and score as usual.
 
     ``strategy`` is one of 'interp', 'short_term' (needs windows that
-    carry a clean preceding history) or 'autoregressive'. Each window
-    gets its own mask, derived deterministically from the spec seed and
-    the window index. The report also carries the mean squared
-    reconstruction error of the recovered prefix against the clean one,
-    measured directly on axis-angle parameters.
+    carry a clean preceding history, checked before the first forecast)
+    or 'autoregressive'. Each window gets its own mask, derived
+    deterministically from the spec seed and the window index. The
+    report also carries the mean squared reconstruction error of the
+    recovered prefix against the clean one, measured directly on
+    axis-angle parameters.
     """
     if strategy not in RECOVERY_STRATEGIES:
         raise ValueError(f"strategy must be one of {RECOVERY_STRATEGIES}")
+    if strategy == "short_term":
+        bare = [i for i, w in enumerate(windows) if w.history is None]
+        if bare:
+            raise ValueError("short_term recovery needs windows with a clean history "
+                             f"window; window {bare[0]} has none")
     recon_errors = []
 
     def corrupted_prefix(i, w):
@@ -359,9 +365,6 @@ def occlusion_eval(model: TwoChannelTransformer,
         if strategy == "interp":
             recon = recover_linear_interp(corrupted, mask)
         elif strategy == "short_term":
-            if w.history is None:
-                raise ValueError(
-                    "short_term recovery needs windows with a clean history window")
             recon = recover_short_term(w.history, corrupted, mask, model)
         else:
             recon = recover_autoregressive(corrupted, mask, model)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motioncast.cli import DEFAULTS, main, resolve_config
-from motioncast.dataset import load_csv_sequence
+from motioncast.dataset import (DatasetSpec, load_csv_sequence, load_dataset,
+                                window_split)
 
 TINY_MODEL = ["--set", "model.n_params=6", "--set", "model.n_prefix=4",
               "--set", "model.horizon=3", "--set", "model.embed_dim=8",
@@ -427,6 +428,22 @@ def test_eval_plain_and_zero_ratio_occlusion_agree(tmp_path, capsys):
         assert abs(a["mse"] - b["mse"]) < 1e-12
     assert occ["prefix_reconstruction_mse"] == 0.0
     assert "prefix_reconstruction_mse" not in plain
+
+
+def test_eval_short_term_scores_the_windows_with_a_history(tmp_path, capsys):
+    """Windows that start before frame N have no clean window before them,
+    so short_term recovery scores only the others."""
+    data = tmp_path / "data"
+    assert main(synth_args(data, count=2, frames=40)) == 0
+    out = tmp_path / "short_term"
+    assert main(eval_args(data, out, ["--set", "occlusion.enabled=true",
+                                      "--set", "occlusion.strategy=short_term"])) == 0
+    spec = DatasetSpec(root=str(data), n_prefix=4, horizon=25)
+    windows = [w for seq in load_dataset(spec) for w in window_split(seq, spec)]
+    with_history = sum(w.history is not None for w in windows)
+    report = json.loads((out / "eval_report.json").read_text())
+    assert report["n_windows"] == with_history == 4
+    assert f"evaluated 4 of {len(windows)} window(s)" in capsys.readouterr().out
 
 
 def test_eval_exclude_silences_groups(tmp_path):

@@ -1,10 +1,16 @@
 """CSV ingestion, windowing, the replicate-last-pose padding pattern and
 the synthetic motion generator."""
 
+import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from motioncast.dataset import (DatasetSpec, MotionSequence, MotionWindow,
                                 ParseError, build_padded_input, downsample,
@@ -105,6 +111,23 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     save_csv_sequence(seq, path)
     back = load_csv_sequence(path)
     np.testing.assert_array_equal(back.frames, frames)
+
+
+# Finite float64 values, with the edge cases drawn often: signed zero,
+# subnormals and the ends of the range.
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+                                    1.7976931348623157e308]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 4)), elements=FINITE))
+def test_save_load_round_trip_is_bit_exact_for_any_finite_frames(frames):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s" / "a.csv"
+        save_csv_sequence(make_seq(frames), path)
+        back = load_csv_sequence(path)
+    assert back.frames.tobytes() == frames.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +236,12 @@ def test_window_history_when_room_exists():
 
 
 def test_window_replication_invariant_enforced():
-    bad_input = np.random.default_rng(8).normal(size=(7, 3))
-    with pytest.raises(ValueError):
-        MotionWindow(input=bad_input, target=np.zeros((3, 3)),
-                     n_prefix=4, horizon=3)
+    """The padded rows are built from the prefix, so no window can hold
+    padding that differs from its last observed pose."""
+    prefix = np.random.default_rng(8).normal(size=(4, 3))
+    w = MotionWindow(prefix, np.zeros((3, 3)))
+    np.testing.assert_array_equal(w.input[:4], prefix)
+    np.testing.assert_array_equal(w.input[4:], np.repeat(prefix[3:], 3, axis=0))
 
 
 def test_window_target_and_history_are_read_only_views():
@@ -266,8 +291,7 @@ def test_train_loop_over_views_matches_copied_windows():
     from motioncast.trainer import TrainConfig, train_loop
     seq = synth_generate(seed=15, count=1, n_frames=60, n_params=6)[0]
     views = window_split(seq, DatasetSpec(n_prefix=4, horizon=3, stride=5))
-    copies = [MotionWindow(input=w.input.copy(), target=w.target.copy(),
-                           n_prefix=w.n_prefix, horizon=w.horizon,
+    copies = [MotionWindow(w.prefix.copy(), w.target.copy(),
                            history=None if w.history is None else w.history.copy(),
                            action=w.action)
               for w in views]
@@ -330,23 +354,22 @@ def test_window_split_builds_no_padded_inputs():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(input=np.zeros((6, 3)), target=np.zeros((3, 3))), "input shape"),
-    (dict(input=np.zeros((7, 3)), target=np.zeros((3, 4))), "input shape"),
-    (dict(input=np.zeros((7, 3)), target=np.zeros((4, 3))), "target has 4 rows"),
-    (dict(input=np.arange(21.0).reshape(7, 3), target=np.zeros((3, 3))), "replicate"),
-    (dict(input=np.zeros((3, 3)), target=np.zeros((3, 3)), n_prefix=0), "n_prefix must be >= 1"),
+    (dict(prefix=np.zeros(3)), "prefix must be N x P"),
+    (dict(prefix=np.zeros((0, 3))), "prefix must be N x P"),
+    (dict(target=np.zeros((3, 4))), "target must be T' x 3"),
+    (dict(target=np.zeros(3)), "target must be T' x 3"),
 ])
 def test_constructed_window_checks_its_input(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        MotionWindow(**{"n_prefix": 4, "horizon": 3, **kwargs})
+        MotionWindow(**{"prefix": np.zeros((4, 3)), "target": np.zeros((3, 3)), **kwargs})
 
 
 def test_constructed_window_keeps_the_prefix_of_its_input():
-    padded = build_padded_input(np.arange(12.0).reshape(4, 3), 3)
-    w = MotionWindow(input=padded, target=np.ones((3, 3)), n_prefix=4, horizon=3)
-    np.testing.assert_array_equal(w.prefix, padded[:4])
-    np.testing.assert_array_equal(w.input, padded)
-    assert w.total == 7
+    prefix = np.arange(12.0).reshape(4, 3)
+    w = MotionWindow(prefix, np.ones((3, 3)))
+    assert w.prefix is prefix
+    np.testing.assert_array_equal(w.input, build_padded_input(prefix, 3))
+    assert (w.n_prefix, w.horizon, w.total) == (4, 3, 7)
 
 
 def test_eval_reports_over_views_match_copied_windows():
@@ -355,8 +378,7 @@ def test_eval_reports_over_views_match_copied_windows():
     from motioncast.trainer import evaluate_mse_horizons, occlusion_eval
     seq = synth_generate(seed=18, count=1, n_frames=60, n_params=6)[0]
     views = window_split(seq, DatasetSpec(n_prefix=8, horizon=8, stride=6))[2:]
-    copies = [MotionWindow(input=w.input, target=w.target.copy(),
-                           n_prefix=w.n_prefix, horizon=w.horizon,
+    copies = [MotionWindow(w.prefix.copy(), w.target.copy(),
                            history=w.history.copy(), action=w.action)
               for w in views]
     model = init_model(ModelConfig(n_params=6, n_prefix=8, horizon=8, embed_dim=8,
@@ -368,6 +390,25 @@ def test_eval_reports_over_views_match_copied_windows():
                   for s in ("interp", "short_term", "autoregressive")]
                for ws in (views, copies)]
     assert reports[0] == reports[1]
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 6), st.integers(1, 4), st.data())
+def test_any_window_input_is_its_prefix_then_copies_of_its_last_row(n, h, p, data):
+    prefix = data.draw(arrays(np.float64, (n, p), elements=FINITE))
+    w = MotionWindow(prefix, np.zeros((h, p)))
+    assert (w.n_prefix, w.horizon, w.input.shape) == (n, h, (n + h, p))
+    assert w.input.tobytes() == np.vstack([prefix] + [prefix[-1:]] * h).tobytes()
+
+
+def test_replace_builds_a_window_through_the_one_constructor():
+    seq = synth_generate(seed=19, count=1, n_frames=60, n_params=6)[0]
+    w = window_split(seq, DatasetSpec(n_prefix=4, horizon=3, stride=5))[3]
+    longer = dataclasses.replace(w, target=seq.frames[19:24])
+    assert (longer.n_prefix, longer.horizon, longer.total) == (4, 5, 9)
+    assert longer.prefix is w.prefix and longer.history is w.history
+    with pytest.raises(ValueError, match="target must be T' x 6"):
+        dataclasses.replace(w, target=np.zeros((3, 5)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from oracles import scalar_recover_autoregressive
 
 from motioncast.model import ModelConfig, init_model, named_params, predict
@@ -363,6 +366,45 @@ def test_autoregressive_horizon_1_covers_a_last_frame_step():
     want = scalar_recover_autoregressive(corrupted, obs, 4,
                                          lambda hist: predict(model, hist))
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# properties over random inputs
+# ---------------------------------------------------------------------------
+
+@settings(derandomize=True, deadline=None)
+@given(st.sampled_from(["time_consistent", "joint_dropout"]), st.floats(0.0, 1.0),
+       st.integers(1, 12), st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_mask_generators_reach_their_ratio_and_repeat(kind, ratio, n_frames, joints, seed):
+    spec = OcclusionSpec(kind=kind, ratio=ratio, seed=seed)
+    m = generate_mask(spec, n_frames, 3 * joints)
+    np.testing.assert_array_equal(m.observed, generate_mask(spec, n_frames, 3 * joints).observed)
+    if kind == "time_consistent":
+        assert m.occluded_fraction >= ratio - 1e-9
+    else:   # round(ratio * joints) whole joints
+        assert abs(m.occluded_fraction - ratio) <= 0.5 / joints + 1e-12
+        assert m.observed.all(axis=0).sum() % 3 == 0
+
+
+PROPERTY_MODEL = _random_model(ModelConfig(n_params=6, n_prefix=4, horizon=6, embed_dim=8,
+                                           n_heads=2, n_layers=1, dropout=0.0), seed=5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(1, 6), st.data())
+def test_every_recovery_leaves_observed_cells_bit_for_bit(n_frames, data):
+    values = st.floats(-10.0, 10.0, allow_subnormal=True)
+    frames = data.draw(arrays(np.float64, (n_frames, 6), elements=values))
+    history = data.draw(arrays(np.float64, (4, 6), elements=values))
+    obs = data.draw(arrays(np.bool_, (n_frames, 6)))
+    mask = OcclusionMask(obs, 0.5)
+    corrupted = apply_mask(frames, mask)
+    recovered = [recover_short_term(history, corrupted, mask, PROPERTY_MODEL),
+                 recover_autoregressive(corrupted, mask, PROPERTY_MODEL)]
+    if obs.any(axis=0).all():   # else interpolation has nothing to hold
+        recovered.append(recover_linear_interp(corrupted, mask))
+    for rec in recovered:
+        assert rec[obs].tobytes() == frames[obs].tobytes()
 
 
 # ---------------------------------------------------------------------------

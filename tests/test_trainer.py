@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from motioncast import tensor as tz
-from motioncast.dataset import MotionWindow, build_padded_input
+from motioncast.dataset import MotionWindow
 from motioncast.kinematics import euler_mse
 from motioncast.model import (ModelConfig, init_model, load_checkpoint,
                               model_forward, named_params, predict,
@@ -37,8 +37,7 @@ def make_window(seq, n=4, h=3, start=0, action=""):
     prefix = seq[start:start + n]
     target = seq[start + n:start + n + h]
     history = seq[start - n:start] if start >= n else None
-    return MotionWindow(input=build_padded_input(prefix, h), target=target,
-                        n_prefix=n, horizon=h, history=history, action=action)
+    return MotionWindow(prefix, target, history=history, action=action)
 
 
 def tiny_windows(seed, count=4, n=4, h=3, p=6):
@@ -504,6 +503,21 @@ def test_short_horizon_fails_before_any_forecast():
     assert model.forward_count == 0
 
 
+def test_short_term_checks_every_history_before_any_forecast():
+    """A window without a history fails the run before the first forecast,
+    and the error names it, wherever it sits in the list."""
+    model = init_model(ModelConfig(n_params=6, n_prefix=4, horizon=4, embed_dim=8,
+                                   n_heads=2, n_layers=1), seed=0)
+    seq = np.cumsum(np.random.default_rng(21).normal(scale=0.05, size=(12, 6)), axis=0)
+    windows = [make_window(seq, start=s) for s in (4, 5, 0)]
+    spec = OcclusionSpec(kind="time_consistent", ratio=0.4, seed=3)
+    with pytest.raises(ValueError, match="window 2 has none"):
+        occlusion_eval(model, windows, spec, "short_term", horizons_ms=(80,))
+    assert model.forward_count == 0
+    occlusion_eval(model, windows[:2], spec, "short_term", horizons_ms=(80,))
+    assert model.forward_count > 0
+
+
 def test_eval_report_fields():
     windows = long_windows(20, count=2)
     model = init_model(ModelConfig(n_params=6), seed=0)
@@ -773,6 +787,31 @@ def test_warm_training_windows_take_few_page_faults():
     assert float(done.stdout) < 200
 
 
+_MMAP_PROBE = """
+import resource
+import numpy as np
+import motioncast
+a = np.ones(100_000)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(100):
+    b = a * 2.0
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 100)
+"""
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the heap policy acts on glibc only")
+def test_large_temporaries_reuse_the_heap_after_import():
+    """Setting M_TOP_PAD alone freezes glibc's mmap threshold at 128 KB,
+    so each 800 KB temporary is mapped and faulted in afresh: about 196
+    minor faults apiece, against about 4 with the threshold raised."""
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tz.__file__)))
+    done = subprocess.run([sys.executable, "-c", _MMAP_PROBE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 10
+
+
 def _fake_libc(calls):
     return lambda name: types.SimpleNamespace(mallopt=lambda *args: calls.append(args))
 
@@ -798,4 +837,4 @@ def test_heap_policy_pads_the_heap_top_on_glibc(monkeypatch):
     monkeypatch.setattr(tz.ctypes, "CDLL", _fake_libc(calls))
     monkeypatch.setattr(tz.os, "confstr", lambda name: "glibc 2.36")
     tz._pad_heap_top()
-    assert calls == [(-2, 64 << 20)]
+    assert calls == [(-2, 64 << 20), (-3, 32 << 20)]
