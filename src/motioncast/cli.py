@@ -68,10 +68,8 @@ DEFAULTS = {
        for f in _keyed_fields(cls, section) if f.default is not dataclasses.MISSING},
     "dataset.subjects": "",          # comma list; empty = all
     "dataset.actions": "",           # comma list; empty = all
-    # occlusion benchmark (eval only); OcclusionSpec has no kind/ratio default
+    # occlusion benchmark (eval only)
     "occlusion.enabled": False,
-    "occlusion.kind": "time_consistent",
-    "occlusion.ratio": 0.4,
     "occlusion.strategy": "interp",
     # evaluation
     "eval.exclude": "",              # comma list of parameter indices
@@ -246,11 +244,8 @@ def cmd_predict(config: dict, outdir: str) -> int:
     model = _checkpoint_or_fresh(config)
     seq = load_csv_sequence(config["paths.input"], fps=config["fps"])
     future = predict(model, seq.frames)
-    out_seq = MotionSequence(frames=future, fps=seq.fps,
-                             meta={"subject": seq.subject,
-                                   "action": seq.action + "_pred"})
     out_path = os.path.join(outdir, "prediction.csv")
-    save_csv_sequence(out_seq, out_path)
+    save_csv_sequence(MotionSequence(future), out_path)
     print(f"wrote {future.shape[0]} predicted frame(s) to {out_path}")
     return 0
 
@@ -272,7 +267,8 @@ def cmd_eval(config: dict, outdir: str) -> int:
                                        translation=translation)
     out_path = os.path.join(outdir, "eval_report.json")
     write_eval_report(report, out_path)
-    print(f"evaluated {report.n_windows} of {len(windows)} window(s); report at {out_path}")
+    print(f"evaluated {report.n_windows} of {len(windows)} window(s); "
+          f"{report.n_refused} refused; report at {out_path}")
     for ms in report.horizons_ms:
         print(f"  {ms:>5} ms: {report.overall[ms]:.6g}")
     return 0

@@ -3,17 +3,7 @@
 A motion file is plain CSV: one frame per line, P comma-separated decimal
 floats, no header, UTF-8 with LF or CRLF endings. Directory layout is
 root/subject/action.csv; subject and action labels are parsed from the
-path.
-
-A training window is the observed N-frame prefix with its last pose
-replicated T' times (so the model only has to learn the deviation of the
-future from the last observed pose), paired with the true future frames.
-``MotionWindow(prefix, target, history, action)`` stores the N x P prefix
-and the T' x P target, so N and T' are their row counts; the padded
-``input`` is built from the prefix on each read. ``window_split`` cuts
-each window's arrays as read-only views of the sequence's frames, not
-copies: a window keeps its sequence's frames alive, and a caller who
-writes to ``seq.frames`` afterwards changes its windows too.
+path. Training windows are ``MotionWindow``s, cut by ``window_split``.
 """
 
 from __future__ import annotations
@@ -85,10 +75,12 @@ class MotionWindow:
     ``prefix`` is the N x P observed frames and ``target`` the T' x P
     frames that follow; N and T' are their row counts. ``input`` builds
     the padded T x P model input on each read (T = N + T', rows N..T-1
-    replicate row N-1), a new array the caller owns. ``history``
-    optionally carries the N clean frames that precede the window in its
-    source sequence; recovery strategies that forecast the prefix need
-    it. ``action`` labels the source for per-action reporting.
+    replicate row N-1, so the model only has to learn the deviation of
+    the future from the last observed pose), a new array the caller
+    owns. ``history`` optionally carries the N clean frames that precede
+    the window in its source sequence; recovery strategies that forecast
+    the prefix need it. ``action`` labels the source for per-action
+    reporting.
     C-contiguous float64 arrays are kept as given, not copied.
     """
 
@@ -253,9 +245,10 @@ def window_split(seq: MotionSequence, spec: DatasetSpec) -> list[MotionWindow]:
     A sequence shorter than N + T' yields no windows. Windows that start
     at frame N or later also carry the N preceding frames as history.
     ``prefix``, ``target`` and ``history`` are read-only views of
-    ``seq.frames``, so writing through them raises ``ValueError``; no
-    window holds a padded T x P copy. ``seq.frames`` stays writable, and
-    writing to it afterwards changes the windows cut from it.
+    ``seq.frames``, not copies, so writing through them raises
+    ``ValueError`` and a window keeps its sequence's frames alive.
+    ``seq.frames`` stays writable, and writing to it afterwards changes
+    the windows cut from it.
     """
     n, h, stride = spec.n_prefix, spec.horizon, spec.stride
     total = n + h

@@ -1,4 +1,4 @@
-"""Rotation conversions and the Euler-space evaluation metric.
+"""Rotation conversions and the Euler-space evaluation metric, ``euler_mse``.
 
 Conventions, fixed so reported numbers are comparable across runs:
 
@@ -11,14 +11,6 @@ Conventions, fixed so reported numbers are comparable across runs:
   canonicalized to [-pi/2, pi/2]. At |pitch| = pi/2 the extraction is
   degenerate; the documented branch fixes roll = 0 and folds the free
   angle into yaw.
-
-The per-frame metric converts each 3-parameter skeleton group of both
-poses to Euler angles, wraps the differences into (-pi, pi], and sums the
-squared differences over groups. It converts every scored group of every
-frame in one batched pass through the helpers behind the single-rotation
-functions, so the small-angle and gimbal rules are the same everywhere.
-Frames are independent: scoring a subset of rows gives, bit for bit, the
-scores of those rows in the full set.
 """
 
 from __future__ import annotations
@@ -128,7 +120,11 @@ def euler_mse(target, pred, exclude=(), translation=()) -> np.ndarray:
     ``target`` and ``pred`` are F x P matrices (P divisible by 3) of
     axis-angle parameters. Each 3-parameter group is converted to Euler
     angles; differences are wrapped to (-pi, pi] before squaring and
-    summed over groups, giving one value per frame.
+    summed over groups, giving one value per frame. Every scored group of
+    every frame goes through one batched pass of the helpers behind the
+    single-rotation functions, so the small-angle and gimbal rules are the
+    same everywhere. Frames are independent: scoring a subset of rows
+    gives, bit for bit, the scores of those rows in the full set.
 
     ``exclude`` and ``translation`` both list parameter indices; naming
     any index of a group covers the whole group. Excluded groups are

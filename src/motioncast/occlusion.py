@@ -8,14 +8,8 @@ time; ``joint_dropout`` removes whole 3-parameter joints for the entire
 window. Recovery fills the occluded cells before any forecasting
 happens — the model itself never sees a corruption flag.
 
-All three strategies are bit-exact identities on observed cells:
-
-* linear interpolation in time, holding the nearest observed value at
-  the window edges;
-* short-term forecast: the model predicts the whole corrupted window
-  from the clean window immediately preceding it;
-* autoregressive sweep: repeated 2-frame (80 ms at 25 fps) predictions
-  from the reconstruction built so far.
+All three strategies (the ``recover_*`` functions) are bit-exact
+identities on observed cells.
 """
 
 from __future__ import annotations
@@ -70,8 +64,8 @@ class OcclusionMask:
 
 @dataclass
 class OcclusionSpec:
-    kind: str
-    ratio: float
+    kind: str = "time_consistent"
+    ratio: float = 0.4
     mean_duration_frames: float = 3.0
     seed: int = 0
 
@@ -176,6 +170,8 @@ def recover_short_term(history: np.ndarray, corrupted: np.ndarray,
     ``history`` is the N-frame window immediately preceding ``corrupted``.
     Occluded cells take the forecast, observed cells keep their data.
     """
+    if history is None:
+        raise RecoveryError("short-term recovery needs the clean window before this one")
     history = np.asarray(history, dtype=np.float64)
     corrupted = _masked_prefix(corrupted, mask)
     n = corrupted.shape[0]

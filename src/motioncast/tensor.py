@@ -5,29 +5,9 @@ train the forecaster (matrix multiply, elementwise arithmetic, masked
 softmax, layer normalization, shape ops, concatenation and MSE/mean
 reductions), each with a hand-written backward rule.
 
-Design notes:
+Design notes (the tape is described at ``Tensor``, ``TapeNode``,
+``_record``, ``_link`` and ``backward``):
 
-* Storage is a float64 numpy array, and a tensor keeps the array it is
-  given, contiguous or not: ``transpose``, ``reshape`` and ``narrow``
-  outputs are views of their input on both paths. So recording and
-  ``no_tape`` hand every op the same operand layouts, and the recorded
-  forward computes the same bits as the unrecorded one.
-* Differentiation is define-by-run: every op executed while recording
-  attaches a ``TapeNode`` to the tensor it produces. A node links to its
-  operands' nodes (replayed ones too, which ``backward`` then refuses),
-  or to the operands themselves only when they are leaves that require
-  grad, never to an intermediate tensor. So a graph
-  lives exactly as long as the tensors that own it, and the forward
-  arrays it holds are only those that some backward rule reads: each
-  op's ``bwd`` closure keeps, decided at record time, just the arrays its
-  rule needs for the gradients that are wanted (``matmul`` keeps an
-  operand only for the other operand's gradient, ``relu`` its output,
-  ``narrow`` and the reductions a shape). ``backward`` walks the nodes
-  reachable from the loss, replays them in strict reverse creation order
-  and releases each one's closure and links as it goes. Each op has one
-  body for both paths: it computes its result, defines ``bwd`` and hands
-  both to ``_record``, which under ``no_tape`` builds no node and drops
-  ``bwd``.
 * ``add``, ``scale``, ``relu``, ``add_bias`` and ``softmax_masked`` take
   an ``out=`` tensor of the result's shape. Under ``no_tape`` the result
   is written into its buffer (which may be an operand's); while
@@ -37,16 +17,17 @@ Design notes:
 * There is no implicit broadcasting. Binary elementwise ops require equal
   shapes; the only sanctioned mixed-shape ops are the explicit per-row
   ones (``add_bias``, ``layer_norm`` gain/bias) and scalar ``scale``.
-* Masks are additive with a large negative sentinel instead of -inf, so
-  exp() underflows to an exact 0.0 without ever producing NaN.
 * Heap policy: on glibc, importing this module sets ``M_TOP_PAD`` to
-  64 MB (``mallopt``), so up to 64 MB of freed heap top stays mapped. A
-  default-model training window takes about 40 minor faults, not the
-  6,000 it takes when glibc trims what the previous window freed. Any
-  ``mallopt`` call also freezes glibc's mmap threshold, at 128 KB unless
-  set, so it is set to 32 MB, the value glibc's own sliding threshold
-  tops out at: an 800 KB temporary then reuses the heap (about 4 faults)
-  instead of being mapped and faulted in afresh (about 200).
+  64 MB (``mallopt``), so up to 64 MB of freed heap top stays mapped and
+  glibc does not trim what one training window frees just before the
+  next needs it. Any ``mallopt`` call also freezes glibc's mmap
+  threshold, at 128 KB unless set, so it is set to 32 MB, the value
+  glibc's own sliding threshold tops out at. Measured in fresh processes
+  (glibc 2.36, 2 cores): a warm default-model training window (24
+  windows at batch 4, after a warm-up ``train_loop`` call) takes 0.3 to
+  6.5 minor faults from probe to probe, about 5,000 with both calls
+  skipped; right after import, an 800 KB temporary takes 3.9, 196 with
+  ``M_TOP_PAD`` alone.
 """
 
 from __future__ import annotations
@@ -117,9 +98,12 @@ class Tensor:
     """A dense float64 array plus an optional gradient slot.
 
     ``data`` is the array given, view or not (copied only when it is not a
-    float64 array). ``requires_grad`` marks a leaf whose gradient ``backward``
-    accumulates. Tensors produced by ops inherit graph membership
-    automatically; their gradients are transient and never stored.
+    float64 array); ``transpose``, ``reshape`` and ``narrow`` return views
+    whether or not the tape records, so both paths hand every op the same
+    operand layouts and compute the same forward bits. ``requires_grad``
+    marks a leaf whose gradient ``backward`` accumulates. Tensors produced
+    by ops inherit graph membership automatically; their gradients are
+    transient and never stored.
     ``node`` is the recorded op that produced the tensor; ``backward``
     empties it when it replays it (and unsets the loss's).
     """
@@ -160,9 +144,11 @@ class TapeNode:
     when a recorded op produced it, the operand itself when it is a leaf
     that requires grad, else None. ``bwd`` maps the upstream gradient of
     the output to per-input gradients (None for inputs that need none);
-    its closure keeps only the forward arrays that rule reads. ``seq`` is
-    the op's creation index. Once ``backward`` has replayed the node,
-    ``inputs`` is empty and ``bwd`` is None.
+    its closure keeps, decided at record time, only the forward arrays
+    that rule reads for the gradients that are wanted. So a graph lives
+    exactly as long as the tensors that own it. ``seq`` is the op's
+    creation index. Once ``backward`` has replayed the node, ``inputs``
+    is empty and ``bwd`` is None.
     """
 
     op: str
@@ -194,6 +180,10 @@ def no_tape():
 
 
 def _record(op: str, inputs: Sequence[Tensor], out: Tensor, bwd) -> Tensor:
+    """Define-by-run: each op computes ``out``, defines ``bwd`` and hands
+    both here, one body for both paths. While recording, an op with an
+    input that requires grad attaches its node to ``out``; under
+    ``no_tape`` no node is built and ``bwd`` is dropped."""
     global _SEQ
     if _RECORDING and any(t.requires_grad for t in inputs):
         _SEQ += 1
@@ -209,10 +199,6 @@ def _link(t: Tensor):
     if t.node is not None:
         return t.node
     return t if t.requires_grad else None
-
-
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
 def _out_buffer(out: Optional[Tensor]) -> Optional[np.ndarray]:
@@ -313,15 +299,16 @@ def add_bias(x: Tensor, b: Tensor, out: Optional[Tensor] = None) -> Tensor:
 def softmax_masked(scores: Tensor, mask=None, out: Optional[Tensor] = None) -> Tensor:
     """Row-softmax over the last axis with an optional additive mask.
 
-    Mask entries are 0 (open) or the MASK_SENTINEL (closed); the mask must
-    match the scores shape or their trailing two axes. Closed columns come
-    out exactly 0 because exp underflows. A row with every column closed
-    is an error, never a NaN.
+    Mask entries are 0 (open) or the MASK_SENTINEL (closed), a large
+    negative number instead of -inf; the mask must match the scores shape
+    or their trailing two axes. Closed columns come out exactly 0 because
+    exp underflows, without a NaN. A row with every column closed is an
+    error, never a NaN.
     """
     s = scores.data
     m = None
     if mask is not None:
-        m = _as_array(mask)
+        m = mask.data if isinstance(mask, Tensor) else np.asarray(mask, dtype=np.float64)
         if m.shape != s.shape and m.shape != s.shape[-2:]:
             raise ShapeError(f"mask shape {m.shape} does not fit scores {s.shape}")
         if np.any(np.all(m <= MASK_SENTINEL / 2, axis=-1)):
@@ -486,8 +473,9 @@ def backward(loss: Tensor) -> None:
     otherwise ``ValueError`` is raised before any gradient moves.
     Gradients add into existing ``.grad`` buffers, so fan-out and
     repeated backward calls over separate graphs both accumulate.
-    Each node drops its closure and links once replayed, so the saved
-    arrays are freed as the pass goes.
+    Nodes are replayed in reverse creation order, and each drops its
+    closure and links once replayed, so the saved arrays are freed as
+    the pass goes.
     """
     global _SEQ_CLEARED
     _SEQ_CLEARED = _SEQ  # nothing records during the pass, so clear it now

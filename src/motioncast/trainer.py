@@ -29,7 +29,7 @@ from .dataset import MotionWindow, atomic_open
 from .kinematics import euler_mse
 from .model import (ModelConfig, TwoChannelTransformer, model_forward,
                     named_params, param_count, predict, save_checkpoint)
-from .occlusion import (OcclusionSpec, apply_mask, generate_mask,
+from .occlusion import (OcclusionSpec, RecoveryError, apply_mask, generate_mask,
                         recover_autoregressive, recover_linear_interp,
                         recover_short_term)
 from .tensor import Tensor
@@ -112,11 +112,12 @@ class EvalReport:
     horizons_ms: tuple
     overall: dict                 # horizon_ms -> mean MSE
     per_action: dict              # action -> {horizon_ms -> mean MSE}
-    n_windows: int
+    n_windows: int                # windows scored
     param_count: int
     config_echo: dict
     prefix_recon_mse: Optional[float] = None
     latency: Optional[LatencyStats] = None
+    n_refused: int = 0            # windows whose recovery refused, not scored
 
 
 def horizon_frame(ms: int, fps: float = 25.0) -> int:
@@ -288,8 +289,9 @@ def _score_windows(model, windows, horizons_ms, exclude, translation,
     frames, aggregate per action and overall.
 
     Every horizon is checked before the first forecast or recovery.
-    Only the horizon rows are scored: ``euler_mse`` scores each row on
-    its own."""
+    ``forecast_prefix(i, w)`` gives the prefix to forecast window i from,
+    or None to leave it unscored. Only the horizon rows are scored:
+    ``euler_mse`` scores each row on its own."""
     if not windows:
         raise ValueError("evaluation needs at least one window")
     horizons_ms = tuple(horizons_ms)
@@ -301,6 +303,8 @@ def _score_windows(model, windows, horizons_ms, exclude, translation,
     scored = []                   # (action, per-horizon scores), window order
     for i, w in enumerate(windows):
         prefix = w.prefix if forecast_prefix is None else forecast_prefix(i, w)
+        if prefix is None:
+            continue
         pred = predict(model, prefix)
         scores = euler_mse(w.target[rows], pred[rows], exclude=exclude,
                            translation=translation)
@@ -314,7 +318,7 @@ def _score_windows(model, windows, horizons_ms, exclude, translation,
     return EvalReport(horizons_ms=horizons_ms, overall=means(scored),
                       per_action={a: means([e for e in scored if e[0] == a])
                                   for a in dict.fromkeys(action for action, _ in scored)},
-                      n_windows=len(windows),
+                      n_windows=len(scored),
                       param_count=param_count(model),
                       config_echo=dataclasses.asdict(model.config))
 
@@ -343,11 +347,13 @@ def occlusion_eval(model: TwoChannelTransformer,
 
     ``strategy`` is one of 'interp', 'short_term' (needs windows that
     carry a clean preceding history, checked before the first forecast)
-    or 'autoregressive'. Each window gets its own mask, derived
-    deterministically from the spec seed and the window index. The
-    report also carries the mean squared reconstruction error of the
-    recovered prefix against the clean one, measured directly on
-    axis-angle parameters.
+    or 'autoregressive'. Window i's mask seed is ``_window_seed(spec, i)``,
+    i its index in ``windows``. Under 'interp' a window whose mask hides
+    a parameter for every prefix frame is refused: it is not scored and
+    counts in ``n_refused``; if every window is refused, ``RecoveryError``
+    names the first. The report also carries the mean squared
+    reconstruction error of the recovered prefix against the clean one
+    over the scored windows, measured directly on axis-angle parameters.
     """
     if strategy not in RECOVERY_STRATEGIES:
         raise ValueError(f"strategy must be one of {RECOVERY_STRATEGIES}")
@@ -357,13 +363,21 @@ def occlusion_eval(model: TwoChannelTransformer,
             raise ValueError("short_term recovery needs windows with a clean history "
                              f"window; window {bare[0]} has none")
     recon_errors = []
+    refused = []                  # "window i: why" per refused window; text, not the
+                                  # exception, whose traceback would hold this list
 
     def corrupted_prefix(i, w):
         wspec = dataclasses.replace(spec, seed=_window_seed(spec, i))
         mask = generate_mask(wspec, w.n_prefix, w.target.shape[1])
         corrupted = apply_mask(w.prefix, mask)
         if strategy == "interp":
-            recon = recover_linear_interp(corrupted, mask)
+            try:
+                recon = recover_linear_interp(corrupted, mask)
+            except RecoveryError as e:
+                refused.append(f"window {i}: {e}")
+                if len(refused) == len(windows):
+                    raise RecoveryError(refused[0]) from None
+                return None
         elif strategy == "short_term":
             recon = recover_short_term(w.history, corrupted, mask, model)
         else:
@@ -373,7 +387,8 @@ def occlusion_eval(model: TwoChannelTransformer,
 
     report = _score_windows(model, windows, horizons_ms, exclude, translation,
                             forecast_prefix=corrupted_prefix)
-    report.prefix_recon_mse = float(np.add.accumulate(recon_errors)[-1]) / len(windows)
+    report.prefix_recon_mse = float(np.add.accumulate(recon_errors)[-1]) / len(recon_errors)
+    report.n_refused = len(refused)
     return report
 
 
@@ -450,6 +465,8 @@ def write_eval_report(report: EvalReport, path) -> None:
     }
     if report.prefix_recon_mse is not None:
         doc["prefix_reconstruction_mse"] = report.prefix_recon_mse
+    if report.n_refused:
+        doc["n_refused"] = report.n_refused
     if report.latency is not None:
         doc.update(latency_json(report.latency))
     with atomic_open(path, "w", encoding="utf-8") as fh:

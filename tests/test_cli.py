@@ -446,6 +446,22 @@ def test_eval_short_term_scores_the_windows_with_a_history(tmp_path, capsys):
     assert f"evaluated 4 of {len(windows)} window(s)" in capsys.readouterr().out
 
 
+def test_eval_interp_refuses_windows_and_scores_the_rest(tmp_path, capsys):
+    """A mask that hides a parameter for all N prefix frames refuses its
+    window, not the whole set."""
+    data = tmp_path / "data"
+    assert main(synth_args(data, count=2, frames=40)) == 0
+    out = tmp_path / "interp"
+    assert main(eval_args(data, out, ["--set", "occlusion.enabled=true",
+                                      "--set", "occlusion.strategy=interp"])) == 0
+    report = json.loads((out / "eval_report.json").read_text())
+    refused = report["n_refused"]
+    assert refused >= 1
+    total = report["n_windows"] + refused
+    assert (f"evaluated {total - refused} of {total} window(s); {refused} refused"
+            in capsys.readouterr().out)
+
+
 def test_eval_exclude_silences_groups(tmp_path):
     data = tmp_path / "data"
     assert main(synth_args(data, count=1, frames=40)) == 0

@@ -239,6 +239,14 @@ def test_short_term_no_occlusion_skips_model():
     assert model.forward_count == 0
 
 
+def test_short_term_without_history_refuses_before_forecasting():
+    mask = OcclusionMask(np.zeros((3, 6), dtype=bool), 1.0)
+    model = zero_velocity_model()
+    with pytest.raises(RecoveryError, match="needs the clean window before this one"):
+        recover_short_term(None, np.zeros((3, 6)), mask, model)
+    assert model.forward_count == 0
+
+
 def test_short_term_window_longer_than_horizon():
     mask = OcclusionMask(np.zeros((5, 6), dtype=bool), 1.0)
     with pytest.raises(RecoveryError):

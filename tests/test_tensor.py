@@ -110,6 +110,20 @@ def test_softmax_rows_sum_to_one_and_masked_exact_zero():
     assert np.all(out[np.triu_indices(6, k=1)] == 0.0)
 
 
+@pytest.mark.parametrize("mask", [None, np.zeros((1, 2))], ids=["unmasked", "masked"])
+def test_softmax_shifts_large_scores_before_exp(mask):
+    """exp(800) overflows to inf, so only the row-max shift keeps the row finite."""
+    scores = [[800.0, 0.0]]
+    with tz.no_tape():
+        fast = tz.softmax_masked(t_(scores), mask, out=Tensor(np.empty((1, 2))))
+    x = t_(scores)
+    recorded = tz.softmax_masked(x, mask)
+    assert np.array_equal(fast.data, [[1.0, 0.0]])
+    assert np.array_equal(recorded.data, [[1.0, 0.0]])
+    tz.backward(tz.sum_all(tz.mul(recorded, t_([[1.0, 2.0]], grad=False))))
+    assert np.isfinite(x.grad).all()
+
+
 def test_softmax_fully_masked_row_raises():
     mask = np.full((1, 3), tz.MASK_SENTINEL)
     with pytest.raises(FullyMaskedRowError):

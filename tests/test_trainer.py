@@ -1,6 +1,8 @@
 """Optimizer mechanics, the training loop's halt/restore behaviour,
 horizon scoring and report serialization."""
 
+import dataclasses
+import gc
 import json
 import math
 import os
@@ -17,7 +19,9 @@ from motioncast.kinematics import euler_mse
 from motioncast.model import (ModelConfig, init_model, load_checkpoint,
                               model_forward, named_params, predict,
                               save_checkpoint)
-from motioncast.occlusion import OcclusionMask, OcclusionSpec, export_mask_csv
+from motioncast.occlusion import (OcclusionMask, OcclusionSpec, RecoveryError,
+                                  apply_mask, export_mask_csv, generate_mask,
+                                  recover_linear_interp)
 from motioncast.tensor import Tensor
 from motioncast.trainer import (HORIZONS_MS, AdamState, LatencyStats,
                                 NonFiniteGradient, TrainConfig, adam_step,
@@ -560,6 +564,69 @@ def test_occlusion_eval_recovery_error_propagates():
     from motioncast.occlusion import RecoveryError
     with pytest.raises(RecoveryError):
         occlusion_eval(model, windows, spec, "interp")
+
+
+def hand_interp_eval(windows, spec):
+    """occlusion_eval's interp bookkeeping as a plain loop: window i's mask
+    seed, the refused windows, and the reconstruction error summed left
+    to right over the scored windows."""
+    kept, total = [], 0.0
+    for i, w in enumerate(windows):
+        seed = int(np.random.SeedSequence([spec.seed, i]).generate_state(1)[0])
+        mask = generate_mask(dataclasses.replace(spec, seed=seed), w.n_prefix, w.target.shape[1])
+        corrupted = apply_mask(w.prefix, mask)
+        if (~mask.observed).all(axis=0).any():
+            continue
+        recon = recover_linear_interp(corrupted, mask)
+        total += float(np.mean((recon - w.prefix) ** 2))
+        kept.append(dataclasses.replace(w, prefix=recon))
+    return kept, total / len(kept)
+
+
+@pytest.mark.parametrize("count, spec_seed, refused", [(3, 9, 0), (4, 8, 1)])
+def test_interp_eval_matches_a_hand_written_loop(tmp_path, count, spec_seed, refused):
+    """Masks that hide a parameter for every prefix frame refuse their
+    window; the rest are scored, and ``prefix_recon_mse`` is their mean."""
+    windows = long_windows(26, count=count)
+    model = init_model(ModelConfig(n_params=6), seed=0)
+    spec = OcclusionSpec(kind="time_consistent", ratio=0.4, seed=spec_seed)
+    report = occlusion_eval(model, windows, spec, "interp")
+    kept, recon_mse = hand_interp_eval(windows, spec)
+    assert (report.n_windows, report.n_refused) == (count - refused, refused)
+    assert report.prefix_recon_mse == recon_mse
+    assert report.overall == evaluate_mse_horizons(model, kept).overall
+    path = tmp_path / "report.json"
+    write_eval_report(report, path)
+    assert json.loads(path.read_text()).get("n_refused", 0) == refused
+
+
+def test_interp_eval_refusing_every_window_names_the_first():
+    windows = long_windows(27, count=3)
+    model = init_model(ModelConfig(n_params=6), seed=0)
+    spec = OcclusionSpec(kind="joint_dropout", ratio=1.0, seed=1)
+    with pytest.raises(RecoveryError, match="^window 0: parameter 0 has no observed frame"):
+        occlusion_eval(model, windows, spec, "interp")
+    assert model.forward_count == 0
+
+
+def test_a_refused_interp_eval_leaves_no_reference_cycle():
+    """A refusal keeps no exception whose traceback holds the frames that
+    keep it, so each call's frames are freed at once, not at the next
+    cyclic collection."""
+    windows = long_windows(28, count=1)
+    model = init_model(ModelConfig(n_params=6), seed=0)
+    spec = OcclusionSpec(kind="joint_dropout", ratio=1.0, seed=1)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            try:
+                occlusion_eval(model, windows, spec, "interp")
+            except RecoveryError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_occlusion_eval_short_term_needs_history():
